@@ -22,9 +22,13 @@ package eme
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
+
+	"repro/internal/crypto/blockmask"
 )
 
 // BlockSize is the underlying AES block size.
@@ -39,12 +43,19 @@ const TweakSize = 16
 var (
 	// ErrDataSize reports an unsupported data unit length.
 	ErrDataSize = errors.New("eme: data must be a multiple of 16 bytes, between 16 and 8192")
+	// ErrOverlap reports a dst that overlaps src without starting at the
+	// same byte. Working in place (dst and src the same slice) is legal.
+	ErrOverlap = errors.New("eme: dst and src overlap inexactly")
 )
 
 // Cipher is a wide-block cipher instance. It is safe for concurrent use.
 type Cipher struct {
 	block cipher.Block
 	l0    [BlockSize]byte // L = 2·E_K(0)
+	// masks is the whitening table L, 2L, 4L, … for the longest data
+	// unit. It depends on the key alone, so it is built once here and
+	// both ECB passes of every call mask with a prefix of it.
+	masks [MaxBlocks * BlockSize]byte
 }
 
 // New creates a wide-block cipher from a 16, 24 or 32-byte AES key.
@@ -55,44 +66,42 @@ func New(key []byte) (*Cipher, error) {
 	}
 	c := &Cipher{block: b}
 	b.Encrypt(c.l0[:], c.l0[:])
-	mul2(&c.l0)
+	blockmask.Mul2(&c.l0)
+	l := c.l0
+	blockmask.Fill(c.masks[:], &l)
 	return c, nil
 }
 
-func mul2(v *[BlockSize]byte) {
-	var carry byte
-	for i := 0; i < BlockSize; i++ {
-		next := v[i] >> 7
-		v[i] = v[i]<<1 | carry
-		carry = next
-	}
-	if carry != 0 {
-		v[0] ^= 0x87
-	}
-}
-
-func xor(dst, a, b []byte) {
-	for i := range dst {
-		dst[i] = a[i] ^ b[i]
-	}
-}
-
-func checkSize(n int) error {
-	if n < BlockSize || n%BlockSize != 0 || n > MaxBlocks*BlockSize {
+func checkArgs(dst, src []byte) error {
+	if n := len(src); n < BlockSize || n%BlockSize != 0 || n > MaxBlocks*BlockSize {
 		return fmt.Errorf("%w (got %d)", ErrDataSize, n)
+	}
+	if len(dst) < len(src) {
+		return errors.New("eme: dst shorter than src")
+	}
+	if blockmask.InexactOverlap(dst[:len(src)], src) {
+		return ErrOverlap
 	}
 	return nil
 }
 
-// Encrypt computes the wide-block encryption of src into dst (they may
-// alias) under tweak.
+// Encrypt computes the wide-block encryption of src into dst (which may
+// be src itself) under tweak.
 func (c *Cipher) Encrypt(dst, src []byte, tweak [TweakSize]byte) error {
-	return c.process(dst, src, tweak, true)
+	if err := checkArgs(dst, src); err != nil {
+		return err
+	}
+	c.process(dst[:len(src)], src, tweak, c.block.Encrypt)
+	return nil
 }
 
 // Decrypt reverses Encrypt.
 func (c *Cipher) Decrypt(dst, src []byte, tweak [TweakSize]byte) error {
-	return c.process(dst, src, tweak, false)
+	if err := checkArgs(dst, src); err != nil {
+		return err
+	}
+	c.process(dst[:len(src)], src, tweak, c.block.Decrypt)
+	return nil
 }
 
 // scratch holds the per-call working state. It lives on the heap (via a
@@ -101,70 +110,54 @@ func (c *Cipher) Decrypt(dst, src []byte, tweak [TweakSize]byte) error {
 // allocate — on every call otherwise. Pooling keeps the hot sector path
 // allocation-free in the steady state.
 type scratch struct {
-	inter, mixed [MaxBlocks * BlockSize]byte
-	sp, mp       [BlockSize]byte
-	mc, mv, acc  [BlockSize]byte
-	mask, mmask  [BlockSize]byte
+	table  [MaxBlocks * BlockSize]byte // mix masks M, 2M, 4M, … from block 1 on
+	mp, mc [BlockSize]byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func (c *Cipher) process(dst, src []byte, tweak [TweakSize]byte, enc bool) error {
-	if err := checkSize(len(src)); err != nil {
-		return err
+// fold returns the XOR of all blocks of buf as two little-endian words.
+func fold(buf []byte) (lo, hi uint64) {
+	for i := 0; i+BlockSize <= len(buf); i += BlockSize {
+		b := buf[i : i+BlockSize : i+BlockSize]
+		lo ^= binary.LittleEndian.Uint64(b[:8])
+		hi ^= binary.LittleEndian.Uint64(b[8:])
 	}
-	if len(dst) < len(src) {
-		return errors.New("eme: dst shorter than src")
-	}
-	m := len(src) / BlockSize
-	crypt := c.block.Encrypt
-	if !enc {
-		crypt = c.block.Decrypt
-	}
+	return lo, hi
+}
 
+// process is the transform in either direction (crypt is the block
+// cipher's Encrypt or Decrypt), worked in dst: every step is a
+// whole-data-unit pass — XOR with a mask table, ECB in place, or a
+// word-wide fold — around the single-block AES calls. dst and src have
+// equal, valid length and are the same slice or disjoint.
+func (c *Cipher) process(dst, src []byte, tweak [TweakSize]byte, crypt func(dst, src []byte)) {
+	n := len(src)
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
-	inter := s.inter[:m*BlockSize]
-	mixed := s.mixed[:m*BlockSize]
 
 	// Pass 1: whiten with the doubling mask and apply ECB.
-	s.mask = c.l0
-	for i := 0; i < m; i++ {
-		blk := inter[i*BlockSize : (i+1)*BlockSize]
-		xor(blk, src[i*BlockSize:(i+1)*BlockSize], s.mask[:])
-		crypt(blk, blk)
-		mul2(&s.mask)
-	}
+	subtle.XORBytes(dst, src, c.masks[:n])
+	blockmask.ECB(dst, crypt)
 
 	// Mix: fold everything plus the tweak into a mask applied to blocks
 	// 2..m; block 1 carries the correction so the transform inverts.
-	clear(s.sp[:])
-	for i := 0; i < m; i++ {
-		xor(s.sp[:], s.sp[:], inter[i*BlockSize:(i+1)*BlockSize])
-	}
-	xor(s.mp[:], s.sp[:], tweak[:])
+	tlo, thi := binary.LittleEndian.Uint64(tweak[:8]), binary.LittleEndian.Uint64(tweak[8:])
+	lo, hi := fold(dst)
+	binary.LittleEndian.PutUint64(s.mp[:8], lo^tlo)
+	binary.LittleEndian.PutUint64(s.mp[8:], hi^thi)
 	crypt(s.mc[:], s.mp[:])
-	xor(s.mv[:], s.mp[:], s.mc[:])
+	mclo, mchi := binary.LittleEndian.Uint64(s.mc[:8]), binary.LittleEndian.Uint64(s.mc[8:])
 
-	s.mmask = s.mv
-	clear(s.acc[:])
-	for i := 1; i < m; i++ {
-		blk := mixed[i*BlockSize : (i+1)*BlockSize]
-		xor(blk, inter[i*BlockSize:(i+1)*BlockSize], s.mmask[:])
-		xor(s.acc[:], s.acc[:], blk)
-		mul2(&s.mmask)
-	}
-	first := mixed[:BlockSize]
-	xor(first, s.mc[:], tweak[:])
-	xor(first, first, s.acc[:])
+	subtle.XORBytes(s.mp[:], s.mp[:], s.mc[:]) // M = MP ^ MC
+	rest := dst[BlockSize:]
+	blockmask.Fill(s.table[:len(rest)], &s.mp)
+	subtle.XORBytes(rest, rest, s.table[:len(rest)])
+	lo, hi = fold(rest)
+	binary.LittleEndian.PutUint64(dst[:8], mclo^tlo^lo)
+	binary.LittleEndian.PutUint64(dst[8:BlockSize], mchi^thi^hi)
 
 	// Pass 2: ECB and unwhiten.
-	s.mask = c.l0
-	for i := 0; i < m; i++ {
-		blk := mixed[i*BlockSize : (i+1)*BlockSize]
-		crypt(blk, blk)
-		xor(dst[i*BlockSize:(i+1)*BlockSize], blk, s.mask[:])
-		mul2(&s.mask)
-	}
-	return nil
+	blockmask.ECB(dst, crypt)
+	subtle.XORBytes(dst, dst, c.masks[:n])
 }

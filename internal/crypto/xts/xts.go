@@ -16,10 +16,13 @@ package xts
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
+
+	"repro/internal/crypto/blockmask"
 )
 
 // BlockSize is the cipher block size in bytes.
@@ -34,6 +37,9 @@ var (
 	ErrKeySize = errors.New("xts: key must be 32 or 64 bytes")
 	// ErrDataSize reports a data unit shorter than one block.
 	ErrDataSize = errors.New("xts: data unit must be at least 16 bytes")
+	// ErrOverlap reports a dst that overlaps src without starting at the
+	// same byte. Working in place (dst and src the same slice) is legal.
+	ErrOverlap = errors.New("xts: dst and src overlap inexactly")
 )
 
 // Cipher is an XTS-AES instance. It is safe for concurrent use.
@@ -85,16 +91,68 @@ func mul2(t *[TweakSize]byte) {
 	}
 }
 
-// Encrypt encrypts a data unit src into dst (which may alias src) under
-// the given tweak. len(dst) must be at least len(src), and len(src) at
-// least one block; ciphertext stealing covers trailing partial blocks.
+// Encrypt encrypts a data unit src into dst (which may be src itself)
+// under the given tweak. len(dst) must be at least len(src), and
+// len(src) at least one block; ciphertext stealing covers trailing
+// partial blocks. Whole-block data units, which is every sector, take the
+// batched kernel.
 func (c *Cipher) Encrypt(dst, src []byte, tweak [TweakSize]byte) error {
+	if err := checkArgs(dst, src); err != nil {
+		return err
+	}
+	if len(src)%BlockSize == 0 {
+		c.kernel(dst[:len(src)], src, tweak, c.k1.Encrypt)
+		return nil
+	}
 	return c.process(dst, src, tweak, true)
 }
 
-// Decrypt reverses Encrypt.
+// Decrypt reverses Encrypt. It stays on the per-block loop: a faster
+// open moves the benchmark's virtual-clock percentiles on small reads
+// (ROADMAP, "virtual-clock percentiles depend on host speed").
 func (c *Cipher) Decrypt(dst, src []byte, tweak [TweakSize]byte) error {
+	if err := checkArgs(dst, src); err != nil {
+		return err
+	}
 	return c.process(dst, src, tweak, false)
+}
+
+func checkArgs(dst, src []byte) error {
+	if len(src) < BlockSize {
+		return fmt.Errorf("%w (got %d)", ErrDataSize, len(src))
+	}
+	if len(dst) < len(src) {
+		return errors.New("xts: dst shorter than src")
+	}
+	if blockmask.InexactOverlap(dst[:len(src)], src) {
+		return ErrOverlap
+	}
+	return nil
+}
+
+// tableSize is the kernel's stride: longer data units are processed in
+// pieces of this size, continuing the tweak chain across them.
+const tableSize = 4096
+
+// kernel is XTS over whole blocks, batched by stride: build the tweak
+// table T·xⁱ, mask the whole stride with one XOR pass, run the block
+// function over it in place, and mask again. crypt is k1.Encrypt or
+// k1.Decrypt; dst and src have equal length, a multiple of BlockSize,
+// and are the same slice or disjoint.
+func (c *Cipher) kernel(dst, src []byte, tweak [TweakSize]byte, crypt func(dst, src []byte)) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.tw = tweak
+	c.k2.Encrypt(s.t[:], s.tw[:])
+	for len(src) > 0 {
+		n := min(len(src), tableSize)
+		table := s.table[:n]
+		blockmask.Fill(table, &s.t)
+		subtle.XORBytes(dst[:n], src[:n], table)
+		blockmask.ECB(dst[:n], crypt)
+		subtle.XORBytes(dst[:n], dst[:n], table)
+		dst, src = dst[n:], src[n:]
+	}
 }
 
 // scratch holds the per-call tweak and block state. It is pooled rather
@@ -103,6 +161,7 @@ func (c *Cipher) Decrypt(dst, src []byte, tweak [TweakSize]byte) error {
 // sector — and the sector path must be allocation-free in steady state.
 type scratch struct {
 	tw, t, t2, x, tail, pp, cc [BlockSize]byte
+	table                      [tableSize]byte // kernel's tweak table
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
