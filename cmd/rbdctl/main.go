@@ -390,19 +390,10 @@ func scrubDemo(img *repro.EncryptedImage) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s.SetPace(repro.NewPacer(500, 128<<20)) // cap the walker at 500 ops/s, 128 MB/s
+	pace := repro.NewPacer(500, 128<<20) // cap the walker at 500 ops/s, 128 MB/s
+	s.SetPace(pace)
 
-	// The walker's gauges are registered by internal/scrub; family
-	// registration is idempotent, so resolving the same series here reads
-	// the same atomics the walker publishes into.
-	gDone := telemetry.NewGaugeVec("scrub_objects_done",
-		"objects the scrub walker has verified", "image").With(img.Image().Name())
-	gTotal := telemetry.NewGaugeVec("scrub_objects_total",
-		"objects in the scrub walk domain", "image").With(img.Image().Name())
-	gDebt := telemetry.NewGaugeVec("scrub_pacer_debt_ns",
-		"scrub pacer debt in virtual nanoseconds (0 = unpaced or inside budget)", "image").With(img.Image().Name())
-
-	fmt.Println("scrub walker (live gauges):")
+	fmt.Println("scrub walker (live progress):")
 	var at repro.Time
 	for i := 0; ; i++ {
 		done, end, err := s.Step(at)
@@ -410,9 +401,8 @@ func scrubDemo(img *repro.EncryptedImage) {
 			log.Fatal(err)
 		}
 		at = end
-		if i%8 == 0 || done {
-			fmt.Printf("  objects %d/%d  pacer debt %v\n",
-				gDone.Value(), gTotal.Value(), time.Duration(gDebt.Value()))
+		if p := s.Progress(); i%8 == 0 || done {
+			fmt.Printf("  objects %d/%d  at %v  %v\n", p.NextObj, p.Objects, time.Duration(at), pace)
 		}
 		if done {
 			break
@@ -448,17 +438,8 @@ func status(img *repro.EncryptedImage) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r.SetPace(repro.NewPacer(500, 64<<20))
-
-	// The walker's progress gauges are registered by internal/keymgr;
-	// family registration is idempotent, so resolving the same series
-	// here reads the same atomics the walker publishes into.
-	gDone := telemetry.NewGaugeVec("rekey_objects_done",
-		"objects the rekey walker has completed", "image").With(img.Image().Name())
-	gTotal := telemetry.NewGaugeVec("rekey_objects_total",
-		"objects in the rekey walk domain", "image").With(img.Image().Name())
-	gDebt := telemetry.NewGaugeVec("rekey_pacer_debt_ns",
-		"rekey pacer debt in virtual nanoseconds (0 = unpaced or inside budget)", "image").With(img.Image().Name())
+	pace := repro.NewPacer(500, 64<<20)
+	r.SetPace(pace)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -472,8 +453,8 @@ func status(img *repro.EncryptedImage) {
 		}, img, 0)
 	}()
 
-	// Drive the walker step by step so the gauges are observably live.
-	fmt.Println("rekey walker (live gauges):")
+	// Drive the walker step by step so its progress is observably live.
+	fmt.Println("rekey walker (live progress):")
 	var at repro.Time
 	for i := 0; ; i++ {
 		done, end, err := r.Step(at)
@@ -481,9 +462,8 @@ func status(img *repro.EncryptedImage) {
 			log.Fatal(err)
 		}
 		at = end
-		if i%4 == 0 || done {
-			fmt.Printf("  objects %d/%d  pacer debt %v\n",
-				gDone.Value(), gTotal.Value(), time.Duration(gDebt.Value()))
+		if p := r.Progress(); i%4 == 0 || done {
+			fmt.Printf("  objects %d/%d  at %v  %v\n", p.NextObj, p.Objects, time.Duration(at), pace)
 		}
 		if done {
 			break

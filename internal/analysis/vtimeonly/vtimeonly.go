@@ -1,11 +1,12 @@
 // Package vtimeonly bans wall-clock reads and unseeded randomness in
 // the simulation packages. The whole stack is measured in virtual time
-// (internal/vtime), and the background walkers (rekey, flatten) are
-// crash-resumable only because a replay of the same inputs takes the
-// same decisions: one stray time.Now in a paced walker or one draw from
-// the process-seeded global math/rand source and crash-resume replay,
-// paced-interference measurements and the deterministic fio offset
-// sequences all silently diverge. Seeded generators
+// (internal/vtime), and the background walkers (rekey, flatten, scrub,
+// all on rbd's walker kernel) are crash-resumable only because a replay
+// of the same inputs takes the same decisions: one stray time.Now in a
+// paced walker or one draw from the process-seeded global math/rand
+// source and crash-resume replay, paced-interference measurements and
+// the deterministic fio offset sequences all silently diverge. Seeded
+// generators
 // (rand.New(rand.NewSource(seed))) remain fine; so do time.Duration and
 // the other pure types — only the functions that sample host state are
 // banned.
@@ -23,6 +24,7 @@ import (
 var simulationPackages = map[string]bool{
 	"core":      true,
 	"rados":     true,
+	"rbd":       true,
 	"keymgr":    true,
 	"clone":     true,
 	"fio":       true,

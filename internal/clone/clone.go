@@ -216,7 +216,7 @@ func (img *Image) CreateSnap(at vtime.Time, name string) (uint64, vtime.Time, er
 	if img.parentLayer() != nil {
 		// The flatten record is persisted before any data moves, so this
 		// probe cannot miss an in-flight walk.
-		if _, found, end, err := loadFlattenProgress(at, img); err != nil {
+		if found, _, end, err := flattenWalk.Active(at, img.enc.Image()); err != nil {
 			return 0, at, err
 		} else if found {
 			return 0, end, ErrFlattenActive

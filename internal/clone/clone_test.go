@@ -512,7 +512,7 @@ func TestFlattenUnderLiveIO(t *testing.T) {
 			if c.Parent() != nil {
 				t.Fatal("parent pointer survived flatten")
 			}
-			if found, _, _, err := FlattenActive(0, c); err != nil || found {
+			if found, _, _, err := flattenWalk.Active(0, c.enc.Image()); err != nil || found {
 				t.Fatalf("flatten record survived completion: %v %v", found, err)
 			}
 			got := readAll(t, c)

@@ -1,17 +1,15 @@
 package clone
 
-// flatten.go is the second keymgr-style background walker: it copies
-// every still-inherited block of a clone into the child — read through
-// the parent chain with the ancestors' keys, re-sealed under the child's
-// current epoch — until nothing references the parent, then severs the
-// parent pointer. The provider can thereafter delete (or re-key, or
-// crypto-erase) the base image without touching the tenant. The walker
-// follows the rekey discipline exactly: one object per Step under the
-// object's exclusive lock (live writers either land before the copyup
-// probe and are skipped as child-owned, or queue behind the commit),
-// progress persisted in the child's header OMAP after every object so a
-// crashed client resumes instead of restarting, and an optional
-// vtime.Pacer bounding interference on foreground IO.
+// flatten.go is the flatten walker: it copies every still-inherited
+// block of a clone into the child — read through the parent chain with
+// the ancestors' keys, re-sealed under the child's current epoch — until
+// nothing references the parent, then severs the parent pointer. The
+// provider can thereafter delete (or re-key, or crypto-erase) the base
+// image without touching the tenant. It runs on rbd's walker kernel
+// (cursor protocol, pacing, progress gauges, journal events): one object
+// per Step under the object's exclusive lock (live writers either land
+// before the copyup probe and are skipped as child-owned, or queue behind
+// the commit).
 
 import (
 	"errors"
@@ -20,9 +18,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/vtime"
 )
-
-// flattenKey is the header-OMAP key holding the persisted flatten cursor.
-const flattenKey = "clone.flatten"
 
 var (
 	// ErrFlattenActive reports a StartFlatten while an unfinished flatten
@@ -37,60 +32,31 @@ var (
 	ErrHasSnaps = errors.New("clone: image has snapshots that still need the parent; cannot flatten")
 )
 
+var flattenWalk = rbd.NewWalkSpec(rbd.WalkSpec[FlattenProgress]{
+	Key:       "clone.flatten",
+	ErrActive: ErrFlattenActive, ErrNone: ErrNoFlatten,
+	Name: "flatten", DoneHelp: "objects the flatten walker has completed",
+	Blocks: "flatten_blocks_copied_total", BlocksHelp: "blocks copied up from the parent chain into the child",
+	StartEvent: telemetry.EventFlattenStart, StartDetail: "copyup walk",
+	FinishEvent: telemetry.EventFlattenFinish, FinishDetail: "blocks copied",
+	Cursor: func(p *FlattenProgress) *rbd.Cursor { return &p.Cursor },
+	Valid:  func(p *FlattenProgress) bool { return p.Copied >= 0 },
+})
+
 // FlattenProgress is the persisted flatten cursor.
 type FlattenProgress struct {
-	NextObj int64 `json:"next_obj"` // first object not yet walked
-	Objects int64 `json:"objects"`  // walk domain, fixed at StartFlatten
+	rbd.Cursor
 	// Copied counts blocks copied up so far (informational; crash safety
 	// re-derives per-block work from child presence).
 	Copied int64 `json:"copied"`
 }
 
-// Done reports whether the walk has covered every object.
-func (p FlattenProgress) Done() bool { return p.NextObj >= p.Objects }
+// Flattener drives one flatten on one clone. A pacer shared with a
+// rekey (SetPace) splits one combined budget between them.
+type Flattener = rbd.Walk[FlattenProgress]
 
-// valid reports whether a decoded cursor is internally coherent and
-// matches the image's walk domain; anything else gets the same
-// restart-from-scratch treatment as an undecodable record.
-func (p FlattenProgress) valid(objects int64) bool {
-	return p.NextObj >= 0 && p.NextObj <= p.Objects && p.Objects == objects
-}
-
-// Flattener drives one flatten on one clone.
-type Flattener struct {
-	img  *Image
-	prog FlattenProgress
-	pace *vtime.Pacer
-	met  flattenMetrics
-}
-
-// Progress returns the current cursor.
-func (f *Flattener) Progress() FlattenProgress { return f.prog }
-
-// SetPace installs a virtual-time admission budget (IOPS + bytes/s caps)
-// on the walker; nil removes the cap. The pacer may be shared with other
-// walkers — a rekey and a flatten handed the same Pacer split one
-// combined budget.
-func (f *Flattener) SetPace(p *vtime.Pacer) { f.pace = p }
-
-// loadFlattenProgress reads the persisted cursor via rbd's shared
-// walker-cursor record, reporting found=false when no flatten is in
-// flight.
-func loadFlattenProgress(at vtime.Time, img *Image) (FlattenProgress, bool, vtime.Time, error) {
-	var p FlattenProgress
-	found, end, err := img.enc.Image().LoadCursor(at, flattenKey, &p)
-	if err != nil {
-		return FlattenProgress{}, false, at, err
-	}
-	return p, found, end, nil
-}
-
-func (f *Flattener) persist(at vtime.Time) (vtime.Time, error) {
-	return f.img.enc.Image().SaveCursor(at, flattenKey, f.prog)
-}
-
-func (f *Flattener) clearProgress(at vtime.Time) (vtime.Time, error) {
-	return f.img.enc.Image().ClearCursor(at, flattenKey)
+func (img *Image) flattenHooks() rbd.WalkHooks[FlattenProgress] {
+	return rbd.WalkHooks[FlattenProgress]{Visit: img.copyupObject, Finish: img.sever}
 }
 
 // StartFlatten begins flattening a clone. The progress record is
@@ -104,95 +70,45 @@ func StartFlatten(at vtime.Time, img *Image) (*Flattener, vtime.Time, error) {
 	if len(img.enc.Image().Snaps()) > 0 {
 		return nil, at, ErrHasSnaps
 	}
-	if _, found, end, err := loadFlattenProgress(at, img); err != nil {
-		return nil, at, err
-	} else if found {
-		return nil, end, ErrFlattenActive
-	}
-	f := newFlattener(img, FlattenProgress{Objects: img.enc.ObjectCount()})
-	at, err := f.persist(at)
-	if err != nil {
-		return nil, at, err
-	}
-	f.publish(at)
-	telemetry.Log.Append(at, telemetry.EventFlattenStart, img.enc.Image().Name(), "copyup walk", f.prog.Objects)
-	return f, at, nil
+	return flattenWalk.Start(at, img.enc.Image(), FlattenProgress{}, img.flattenHooks())
 }
 
 // ResumeFlatten reattaches to an interrupted flatten on a freshly opened
-// image — the crash-recovery path. A crash between the final copyup and
-// the record removal resumes with the parent already severed; Step then
-// just completes the bookkeeping.
+// image — the crash-recovery path. A crash between the sever and the
+// record removal resumes with the parent already gone; the remaining
+// visits are no-ops and the final Step just completes the bookkeeping.
 func ResumeFlatten(at vtime.Time, img *Image) (*Flattener, vtime.Time, error) {
-	p, found, at, err := loadFlattenProgress(at, img)
-	switch {
-	case errors.Is(err, rbd.ErrCorruptCursor):
-		return restartFlattenFromCorrupt(at, img)
-	case err != nil:
-		return nil, at, err
-	case !found:
-		return nil, at, ErrNoFlatten
-	case !p.valid(img.enc.ObjectCount()):
-		return restartFlattenFromCorrupt(at, img)
-	}
-	f := newFlattener(img, p)
-	f.publish(at)
-	return f, at, nil
+	return flattenWalk.Resume(at, img.enc.Image(), img.flattenHooks())
 }
 
-// restartFlattenFromCorrupt replaces an undecodable (or out-of-domain)
-// flatten cursor with a full re-walk from object zero. The walk is
-// idempotent — copyup keys off child presence, so objects the crashed
-// walker already copied are no-ops — and a clone whose parent was
-// already severed completes on the first Step. The fresh record is
-// persisted immediately so a second crash resumes normally.
-func restartFlattenFromCorrupt(at vtime.Time, img *Image) (*Flattener, vtime.Time, error) {
-	f := newFlattener(img, FlattenProgress{Objects: img.enc.ObjectCount()})
-	at, err := f.persist(at)
-	if err != nil {
-		return nil, at, err
-	}
-	f.publish(at)
-	return f, at, nil
-}
-
-// Step processes one object (or, once every object is walked, severs the
-// parent pointer and removes the progress record). It returns done=true
-// when the image is fully flattened.
-func (f *Flattener) Step(at vtime.Time) (done bool, end vtime.Time, err error) {
-	img := f.img
+// copyupObject is the flatten visit: it copies one object's
+// still-inherited blocks up into the child.
+func (img *Image) copyupObject(at vtime.Time, obj int64, p *FlattenProgress) (blocks, charge int64, end vtime.Time, err error) {
 	parent := img.parentLayer()
-	if f.prog.Done() || parent == nil {
-		// Sever before clearing: if the crash hits between the two, the
-		// surviving record makes Resume re-run this branch (RemoveParent
-		// is idempotent), whereas the opposite order could strand a
-		// fully-copied clone still chained to its parent.
-		if at, err = img.enc.Image().RemoveParent(at); err != nil {
-			return false, at, err
-		}
-		img.detachParent()
-		at, err = f.clearProgress(at)
-		if err == nil {
-			f.publish(at)
-			telemetry.Log.Append(at, telemetry.EventFlattenFinish, img.enc.Image().Name(), "blocks copied", f.prog.Copied)
-		}
-		return err == nil, at, err
+	if parent == nil {
+		return 0, 0, at, nil
 	}
-
-	objIdx := f.prog.NextObj
 	bs := img.enc.Options().BlockSize
-	n, at, err := img.enc.CopyupObject(f.pace.Admit(at, 0), objIdx,
-		parentFetch(parent, objIdx, img.enc.Image().ObjectSize(), bs))
+	n, end, err := img.enc.CopyupObject(at, obj, parentFetch(parent, obj, img.enc.Image().ObjectSize(), bs))
 	if err != nil {
-		return false, at, err
+		return 0, 0, end, err
 	}
-	f.pace.Charge(2 * int64(n) * bs) // parent read + child write
-	f.prog.NextObj++
-	f.prog.Copied += int64(n)
-	f.met.blocks.Add(int64(n))
-	at, err = f.persist(at)
-	f.publish(at)
-	return false, at, err
+	p.Copied += int64(n)
+	return int64(n), 2 * int64(n) * bs, end, nil // parent read + child write
+}
+
+// sever is the flatten finish: it removes the parent pointer. The
+// kernel runs it before clearing the record: if the crash hits between
+// the two, the surviving record makes Resume re-run it (RemoveParent is
+// idempotent), whereas the opposite order could strand a fully-copied
+// clone still chained to its parent.
+func (img *Image) sever(at vtime.Time, p *FlattenProgress) (int64, vtime.Time, error) {
+	at, err := img.enc.Image().RemoveParent(at)
+	if err != nil {
+		return 0, at, err
+	}
+	img.detachParent()
+	return p.Copied, at, nil
 }
 
 // parentFetch builds the CopyupObject fetch callback for one object: it
@@ -217,25 +133,4 @@ func parentFetch(parent *layer, objIdx, objectSize, bs int64) func(at vtime.Time
 		}
 		return keep, end, nil
 	}
-}
-
-// Run drives Step until the flatten completes.
-func (f *Flattener) Run(at vtime.Time) (vtime.Time, error) {
-	for {
-		done, end, err := f.Step(at)
-		if err != nil {
-			return end, err
-		}
-		at = end
-		if done {
-			return at, nil
-		}
-	}
-}
-
-// FlattenActive reports whether an image has an unfinished flatten, and
-// its cursor.
-func FlattenActive(at vtime.Time, img *Image) (bool, FlattenProgress, vtime.Time, error) {
-	p, found, end, err := loadFlattenProgress(at, img)
-	return found, p, end, err
 }

@@ -47,7 +47,7 @@ func TestFlattenCorruptCursorRestartsCleanly(t *testing.T) {
 	// cursor should be.
 	res, _, err := c.enc.Image().OperateHeader(0, []rados.Op{{
 		Kind:  rados.OpOmapSet,
-		Pairs: []rados.Pair{{Key: []byte(flattenKey), Value: []byte("\xba\xadcursor bytes")}},
+		Pairs: []rados.Pair{{Key: []byte(flattenWalk.Key), Value: []byte("\xba\xadcursor bytes")}},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +55,8 @@ func TestFlattenCorruptCursorRestartsCleanly(t *testing.T) {
 	if res[0].Status != rados.StatusOK {
 		t.Fatalf("raw omap set: %v", res[0].Status)
 	}
-	if _, _, _, err := loadFlattenProgress(0, c); !errors.Is(err, rbd.ErrCorruptCursor) {
-		t.Fatalf("loadFlattenProgress: %v, want ErrCorruptCursor", err)
+	if _, _, _, err := flattenWalk.Active(0, c.enc.Image()); !errors.Is(err, rbd.ErrCorruptCursor) {
+		t.Fatalf("FlattenActive: %v, want ErrCorruptCursor", err)
 	}
 
 	c2, _, err := Open(0, cl, "rbd", "c", keys)
@@ -114,8 +114,8 @@ func TestFlattenOutOfRangeCursorRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	objects := c.enc.ObjectCount()
-	bogus := FlattenProgress{NextObj: objects + 7, Objects: objects + 9}
-	if _, err := c.enc.Image().SaveCursor(0, flattenKey, bogus); err != nil {
+	bogus := FlattenProgress{Cursor: rbd.Cursor{NextObj: objects + 7, Objects: objects + 9}}
+	if _, err := c.enc.Image().SaveCursor(0, flattenWalk.Key, bogus); err != nil {
 		t.Fatal(err)
 	}
 	c2, _, err := Open(0, cl, "rbd", "c", keys)

@@ -276,12 +276,8 @@ func (e *EncryptedImage) MetaLen() int { return int(e.plan.metaLen) }
 // cipher scheme (the rest is the epoch tag).
 func (e *EncryptedImage) schemeMetaLen() int64 { return int64(e.proto.metaLen()) }
 
-// ObjectCount reports how many striping objects the image spans — the
-// domain the rekey walker iterates.
-func (e *EncryptedImage) ObjectCount() int64 {
-	os := e.img.ObjectSize()
-	return (e.img.Size() + os - 1) / os
-}
+// ObjectCount reports how many striping objects the image spans.
+func (e *EncryptedImage) ObjectCount() int64 { return e.img.ObjectCount() }
 
 // Size returns the usable image size.
 func (e *EncryptedImage) Size() int64 { return e.img.Size() }

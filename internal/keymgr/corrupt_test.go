@@ -17,7 +17,7 @@ func scribbleProgress(t *testing.T, e *core.EncryptedImage, raw []byte) {
 	t.Helper()
 	res, _, err := e.Image().OperateHeader(0, []rados.Op{{
 		Kind:  rados.OpOmapSet,
-		Pairs: []rados.Pair{{Key: []byte(progressKey), Value: raw}},
+		Pairs: []rados.Pair{{Key: []byte(walk.Key), Value: raw}},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -59,8 +59,8 @@ func TestResumeCorruptCursorRestartsCleanly(t *testing.T) {
 			scribbleProgress(t, e, tc.raw)
 
 			// The raw load must classify as corrupt, not as "no rekey".
-			if _, _, _, err := loadProgress(0, e); !errors.Is(err, rbd.ErrCorruptCursor) {
-				t.Fatalf("loadProgress: %v, want ErrCorruptCursor", err)
+			if _, _, _, err := walk.Active(0, e.Image()); !errors.Is(err, rbd.ErrCorruptCursor) {
+				t.Fatalf("Active: %v, want ErrCorruptCursor", err)
 			}
 
 			e2 := reload(t, e)
@@ -84,7 +84,7 @@ func TestResumeCorruptCursorRestartsCleanly(t *testing.T) {
 			if eps := e2.Epochs(); len(eps) != 1 || eps[0] != cur {
 				t.Fatalf("epochs after converged restart: %v, want [%d]", eps, cur)
 			}
-			if found, _, _, err := Active(0, e2); err != nil || found {
+			if found, _, _, err := walk.Active(0, e2.Image()); err != nil || found {
 				t.Fatalf("record survives completion: found=%v err=%v", found, err)
 			}
 			got := make([]byte, len(data))
@@ -132,12 +132,12 @@ func TestResumeOutOfRangeCursorRestarts(t *testing.T) {
 		name string
 		prog Progress
 	}{
-		{"next-beyond-domain", Progress{From: 0, To: 1, NextObj: objects + 5, Objects: objects + 10}},
-		{"negative-next", Progress{From: 0, To: 1, NextObj: -3, Objects: objects}},
-		{"wrong-domain", Progress{From: 0, To: 1, NextObj: 0, Objects: objects * 100}},
+		{"next-beyond-domain", Progress{From: 0, To: 1, Cursor: rbd.Cursor{NextObj: objects + 5, Objects: objects + 10}}},
+		{"negative-next", Progress{From: 0, To: 1, Cursor: rbd.Cursor{NextObj: -3, Objects: objects}}},
+		{"wrong-domain", Progress{From: 0, To: 1, Cursor: rbd.Cursor{NextObj: 0, Objects: objects * 100}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := e.Image().SaveCursor(0, progressKey, tc.prog); err != nil {
+			if _, err := e.Image().SaveCursor(0, walk.Key, tc.prog); err != nil {
 				t.Fatal(err)
 			}
 			e2 := reload(t, e)

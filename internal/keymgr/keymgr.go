@@ -30,9 +30,6 @@ import (
 	"repro/internal/vtime"
 )
 
-// progressKey is the header-OMAP key holding the persisted rekey cursor.
-const progressKey = "keymgr.rekey"
-
 var (
 	// ErrRekeyActive reports a Start while an unfinished rekey exists —
 	// resume it instead (a second transition would strand epochs).
@@ -41,68 +38,38 @@ var (
 	ErrNoRekey = errors.New("keymgr: no rekey in progress")
 )
 
+// walk makes the rekey a walker on rbd's walker kernel, which owns the
+// cursor protocol, pacing, progress gauges and journal events.
+var walk = rbd.NewWalkSpec(rbd.WalkSpec[Progress]{
+	Key:       "keymgr.rekey",
+	ErrActive: ErrRekeyActive, ErrNone: ErrNoRekey,
+	Name: "rekey", DoneHelp: "objects the rekey walker has completed",
+	Blocks: "rekey_blocks_resealed_total", BlocksHelp: "blocks re-sealed under the target epoch",
+	StartEvent: telemetry.EventRekeyStart, StartDetail: "epoch transition",
+	FinishEvent: telemetry.EventRekeyFinish, FinishDetail: "blocks re-sealed",
+	Cursor: func(p *Progress) *rbd.Cursor { return &p.Cursor },
+	Valid:  func(p *Progress) bool { return p.Rekeyed >= 0 },
+})
+
 // Progress is the persisted rekey cursor.
 type Progress struct {
-	From    uint32 `json:"from"`     // retiring epoch
-	To      uint32 `json:"to"`       // target epoch (container current)
-	NextObj int64  `json:"next_obj"` // first object not yet walked
-	Objects int64  `json:"objects"`  // walk domain, fixed at Start
+	From uint32 `json:"from"` // retiring epoch
+	To   uint32 `json:"to"`   // target epoch (container current)
+	rbd.Cursor
 	// Rekeyed counts blocks re-sealed so far (informational; not part of
 	// crash-safety — the walker re-derives per-block work from epoch tags).
 	Rekeyed int64 `json:"rekeyed"`
 }
 
-// Done reports whether the walk has covered every object.
-func (p Progress) Done() bool { return p.NextObj >= p.Objects }
-
-// valid reports whether a decoded cursor is internally coherent and
-// matches the image's walk domain; anything else gets the same
-// restart-from-scratch treatment as an undecodable record.
-func (p Progress) valid(objects int64) bool {
-	return p.NextObj >= 0 && p.NextObj <= p.Objects && p.Objects == objects
-}
-
 // Rekeyer drives one epoch transition on one image.
-type Rekeyer struct {
-	img  *core.EncryptedImage
-	prog Progress
-	pace *vtime.Pacer
-	met  walkerMetrics
-}
+type Rekeyer = rbd.Walk[Progress]
 
-// newRekeyer binds a walker to its image-labeled progress gauges.
-func newRekeyer(img *core.EncryptedImage, prog Progress) *Rekeyer {
-	return &Rekeyer{img: img, prog: prog, met: newWalkerMetrics(img.Image().Name())}
-}
+// rekey is the image one transition's hooks work on.
+type rekey struct{ img *core.EncryptedImage }
 
-// SetPace installs a virtual-time admission budget (IOPS + bytes/s caps)
-// on the walker, bounding its interference on foreground IO the way
-// Ceph's osd_recovery limits bound recovery. A nil pacer removes the
-// cap. The same pacer may be shared with other walkers (e.g. a clone
-// flatten) to cap their combined rate.
-func (r *Rekeyer) SetPace(p *vtime.Pacer) { r.pace = p }
-
-// Progress returns the current cursor.
-func (r *Rekeyer) Progress() Progress { return r.prog }
-
-// loadProgress reads the persisted cursor, reporting found=false when no
-// rekey is in flight. The on-disk protocol is rbd's shared walker-cursor
-// record (one JSON blob per walker in the header OMAP).
-func loadProgress(at vtime.Time, img *core.EncryptedImage) (Progress, bool, vtime.Time, error) {
-	var p Progress
-	found, end, err := img.Image().LoadCursor(at, progressKey, &p)
-	if err != nil {
-		return Progress{}, false, at, err
-	}
-	return p, found, end, nil
-}
-
-func (r *Rekeyer) persist(at vtime.Time) (vtime.Time, error) {
-	return r.img.Image().SaveCursor(at, progressKey, r.prog)
-}
-
-func (r *Rekeyer) clearProgress(at vtime.Time) (vtime.Time, error) {
-	return r.img.Image().ClearCursor(at, progressKey)
+func hooks(img *core.EncryptedImage) rbd.WalkHooks[Progress] {
+	r := rekey{img}
+	return rbd.WalkHooks[Progress]{Visit: r.visit, Finish: r.finish, Begin: r.begin, Reconcile: r.reconcile, Restart: r.restart}
 }
 
 // Start begins the next epoch transition. The progress record is
@@ -111,99 +78,84 @@ func (r *Rekeyer) clearProgress(at vtime.Time) (vtime.Time, error) {
 // seals under it. A crash between the two leaves a record targeting an
 // epoch the container does not have yet; Resume detects that and
 // finishes Start's job, so no transition can be stranded half-begun
-// with the retiring key left alive forever. The data walk happens in
-// Step/Run.
+// with the retiring key left alive forever. If the mint is refused
+// (legacy geometry, persist failure, ...) the record is withdrawn. The
+// data walk happens in Step/Run.
 func Start(at vtime.Time, img *core.EncryptedImage) (*Rekeyer, vtime.Time, error) {
-	if _, found, end, err := loadProgress(at, img); err != nil {
-		return nil, at, err
-	} else if found {
-		return nil, end, ErrRekeyActive
-	}
 	from := img.CurrentEpoch()
-	r := newRekeyer(img, Progress{From: from, To: from + 1, Objects: img.ObjectCount()})
-	at, err := r.persist(at)
-	if err != nil {
-		return nil, at, err
-	}
-	r.publish(at)
-	to, at, err := img.BeginEpoch(at)
-	if err != nil {
-		// BeginEpoch refused (legacy geometry, persist failure, ...):
-		// withdraw the intent record so the image is not wedged behind
-		// ErrRekeyActive forever.
-		if end, cerr := r.clearProgress(at); cerr == nil {
-			at = end
-		}
-		return nil, at, err
-	}
-	if to != r.prog.To {
-		if end, cerr := r.clearProgress(at); cerr == nil {
-			at = end
-		}
-		return nil, at, fmt.Errorf("keymgr: container minted epoch %d, progress record expected %d", to, r.prog.To)
-	}
-	telemetry.Log.Append(at, telemetry.EventRekeyStart, img.Image().Name(), "epoch transition", int64(to))
-	return r, at, nil
+	return walk.Start(at, img.Image(), Progress{From: from, To: from + 1}, hooks(img))
 }
 
 // Resume reattaches to an interrupted rekey on a freshly loaded image —
-// the crash-recovery path. Normally the container already carries both
-// epochs; if the crash hit between Start's progress record and the
-// container persist, the target epoch is minted now. The walker then
-// continues from the persisted cursor; any object the crashed walker
-// half-skipped is re-examined block by block, which is idempotent
-// because re-sealing keys off the per-block epoch tags.
+// the crash-recovery path. The walker continues from the persisted
+// cursor; any object the crashed walker half-skipped is re-examined
+// block by block, which is idempotent because re-sealing keys off the
+// per-block epoch tags.
 func Resume(at vtime.Time, img *core.EncryptedImage) (*Rekeyer, vtime.Time, error) {
-	p, found, at, err := loadProgress(at, img)
-	switch {
-	case errors.Is(err, rbd.ErrCorruptCursor):
-		return restartFromCorrupt(at, img)
-	case err != nil:
-		return nil, at, err
-	case !found:
-		return nil, at, ErrNoRekey
-	case !p.valid(img.ObjectCount()):
-		return restartFromCorrupt(at, img)
-	}
-	switch cur := img.CurrentEpoch(); {
-	case cur == p.To:
-		// Normal resume.
-	case cur == p.From:
-		// Crashed inside Start: the intent is durable but the epoch is
-		// not. Mint it and carry on.
-		to, end, err := img.BeginEpoch(at)
-		if err != nil {
-			return nil, at, err
-		}
-		at = end
-		if to != p.To {
-			return nil, at, fmt.Errorf("keymgr: container minted epoch %d, progress record expected %d", to, p.To)
-		}
-	default:
-		return nil, at, fmt.Errorf("keymgr: progress targets epoch %d but container is at %d (Abort to discard the record and Start a fresh transition)", p.To, cur)
-	}
-	r := newRekeyer(img, p)
-	r.publish(at)
-	return r, at, nil
+	return walk.Resume(at, img.Image(), hooks(img))
 }
 
-// restartFromCorrupt replaces an undecodable (or out-of-domain) rekey
-// cursor with a full re-walk toward the container's current epoch. The
-// record's existence proves a transition was in flight; its position is
-// lost. Walking every object from zero is safe — re-sealing keys off
-// per-block epoch tags, so already-converted blocks are no-ops — and
-// completion destroys every non-target epoch, which includes whatever
-// retired key the lost record was retiring. The fresh record is
-// persisted immediately so a second crash resumes normally.
-func restartFromCorrupt(at vtime.Time, img *core.EncryptedImage) (*Rekeyer, vtime.Time, error) {
-	cur := img.CurrentEpoch()
-	r := newRekeyer(img, Progress{From: cur, To: cur, Objects: img.ObjectCount()})
-	at, err := r.persist(at)
-	if err != nil {
-		return nil, at, err
+// begin mints the target epoch; its number goes out with the start event.
+func (r rekey) begin(at vtime.Time, p *Progress) (int64, vtime.Time, error) {
+	to, at, err := r.img.BeginEpoch(at)
+	if err == nil && to != p.To {
+		err = fmt.Errorf("keymgr: container minted epoch %d, progress record expected %d", to, p.To)
 	}
-	r.publish(at)
-	return r, at, nil
+	return int64(to), at, err
+}
+
+// reconcile squares a resumed record with the container. Normally the
+// container already carries both epochs; if the crash hit between
+// Start's progress record and the container persist, the target epoch
+// is minted now.
+func (r rekey) reconcile(at vtime.Time, p *Progress) (vtime.Time, error) {
+	switch cur := r.img.CurrentEpoch(); cur {
+	case p.To:
+		return at, nil
+	case p.From:
+		_, at, err := r.begin(at, p)
+		return at, err
+	default:
+		return at, fmt.Errorf("keymgr: progress targets epoch %d but container is at %d (Abort to discard the record and Start a fresh transition)", p.To, cur)
+	}
+}
+
+// restart replaces a lost rekey cursor with a full re-walk toward the
+// container's current epoch. Walking every object from zero is safe —
+// re-sealing keys off per-block epoch tags, so already-converted blocks
+// are no-ops — and completion destroys every non-target epoch, which
+// includes whatever retired key the lost record was retiring.
+func (r rekey) restart(p *Progress) {
+	cur := r.img.CurrentEpoch()
+	p.From, p.To = cur, cur
+}
+
+// visit re-seals one object's stale blocks.
+func (r rekey) visit(at vtime.Time, obj int64, p *Progress) (blocks, charge int64, end vtime.Time, err error) {
+	n, end, err := r.img.RekeyObject(at, obj)
+	if err != nil {
+		return 0, 0, end, err
+	}
+	p.Rekeyed += int64(n)
+	return int64(n), 2 * int64(n) * r.img.Options().BlockSize, end, nil // read + re-write
+}
+
+// finish destroys the retired keys. The walk re-sealed every block not
+// already at To, so EVERY older live epoch is now unreferenced on the
+// head — destroy them all, not just From (an earlier aborted transition
+// may have left an orphan). ErrEpochUnknown is tolerated so a crash
+// between DropEpoch and the record's removal re-finishes cleanly.
+func (r rekey) finish(at vtime.Time, p *Progress) (int64, vtime.Time, error) {
+	for _, ep := range r.img.Epochs() {
+		if ep == p.To {
+			continue
+		}
+		var err error
+		if at, err = r.img.DropEpoch(at, ep); err != nil && !errors.Is(err, luks.ErrEpochUnknown) {
+			return 0, at, err
+		}
+	}
+	return p.Rekeyed, at, nil
 }
 
 // Abort withdraws an image's rekey progress record without touching any
@@ -212,73 +164,5 @@ func restartFromCorrupt(at vtime.Time, img *core.EncryptedImage) (*Rekeyer, vtim
 // (all tagged epochs stay live, so nothing becomes unreadable); the next
 // completed transition re-seals them and destroys every retired epoch.
 func Abort(at vtime.Time, img *core.EncryptedImage) (vtime.Time, error) {
-	r := newRekeyer(img, Progress{})
-	return r.clearProgress(at)
-}
-
-// Step processes one object (or finishes the transition when every
-// object is walked: the retired epoch's key is destroyed and the
-// progress record removed). It returns done=true once the transition is
-// fully complete.
-func (r *Rekeyer) Step(at vtime.Time) (done bool, end vtime.Time, err error) {
-	if r.prog.Done() {
-		// The walk re-sealed every block not already at To, so EVERY
-		// older live epoch is now unreferenced on the head — destroy them
-		// all, not just From (an earlier aborted transition may have left
-		// an orphan). ErrEpochUnknown is tolerated so a crash between
-		// DropEpoch and clearProgress re-finishes cleanly.
-		for _, ep := range r.img.Epochs() {
-			if ep == r.prog.To {
-				continue
-			}
-			if at, err = r.img.DropEpoch(at, ep); err != nil && !errors.Is(err, luks.ErrEpochUnknown) {
-				return false, at, err
-			}
-		}
-		at, err = r.clearProgress(at)
-		if err == nil {
-			r.publish(at)
-			telemetry.Log.Append(at, telemetry.EventRekeyFinish, r.img.Image().Name(), "blocks re-sealed", r.prog.Rekeyed)
-		}
-		return err == nil, at, err
-	}
-	// Pacing: one walker op is admitted against the budget up front; the
-	// bytes actually re-sealed (unknown until the object was examined)
-	// are charged afterwards as debt against the next admission.
-	n, at, err := r.img.RekeyObject(r.pace.Admit(at, 0), r.prog.NextObj)
-	if err != nil {
-		return false, at, err
-	}
-	r.pace.Charge(2 * int64(n) * r.img.Options().BlockSize) // read + re-write
-	r.prog.NextObj++
-	r.prog.Rekeyed += int64(n)
-	r.met.blocks.Add(int64(n))
-	at, err = r.persist(at)
-	r.publish(at)
-	return false, at, err
-}
-
-// Run drives Step until the transition completes. It is the paced
-// background-walker entry point: idle virtual time between rekey IOs is
-// whatever the caller's clock does — the walker itself consumes client
-// crypto and cluster resources exactly like foreground IO, so fio
-// workloads measured concurrently see its interference.
-func (r *Rekeyer) Run(at vtime.Time) (vtime.Time, error) {
-	for {
-		done, end, err := r.Step(at)
-		if err != nil {
-			return end, err
-		}
-		at = end
-		if done {
-			return at, nil
-		}
-	}
-}
-
-// Active reports whether an image has an unfinished rekey, and its
-// cursor.
-func Active(at vtime.Time, img *core.EncryptedImage) (bool, Progress, vtime.Time, error) {
-	p, found, end, err := loadProgress(at, img)
-	return found, p, end, err
+	return walk.Abort(at, img.Image())
 }

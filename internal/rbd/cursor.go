@@ -1,11 +1,10 @@
 package rbd
 
-// cursor.go is the persisted walker-cursor protocol shared by the
-// background walkers (keymgr's online rekey, clone's flatten): one JSON
-// record per walker under a reserved key in the image header's OMAP,
-// written after every unit of work so a crashed client resumes instead
-// of restarting. Keeping the load/save/clear plumbing here means every
-// walker speaks exactly the same on-disk protocol.
+// cursor.go is the on-disk half of the walker kernel (walker.go): one
+// JSON record per walker under a reserved key in the image header's
+// OMAP, written after every unit of work so a crashed client resumes
+// instead of restarting. The kernel is the only non-test caller, so
+// every walker speaks exactly the same on-disk protocol.
 
 import (
 	"encoding/json"
@@ -17,10 +16,10 @@ import (
 )
 
 // ErrCorruptCursor reports a walker-cursor record whose stored bytes do
-// not decode — truncated or scribbled OMAP state. The walkers treat it
-// as "a walk was in flight, its position is lost": they restart the
-// walk from the beginning (which is safe, both walks are idempotent)
-// rather than fail the resume or, worse, trust a half-read cursor.
+// not decode — truncated or scribbled OMAP state. The kernel treats it
+// as "a walk was in flight, its position is lost": it restarts the walk
+// from the beginning (which is safe, every walk is idempotent) rather
+// than fail the resume or, worse, trust a half-read cursor.
 var ErrCorruptCursor = errors.New("rbd: corrupt walker cursor")
 
 // LoadCursor reads the walker cursor stored under key in the image

@@ -2,11 +2,11 @@
 // every object of an encrypted image that opens each present block
 // under its recorded key epoch and, optionally, repairs blocks whose
 // ciphertext no longer authenticates from an intact replica copy. It
-// is the third consumer of rbd's shared walker-cursor protocol and the
-// vtime.Pacer admission budget, alongside keymgr.Rekeyer and
+// runs on rbd's walker kernel, alongside keymgr.Rekeyer and
 // clone.Flattener: progress is persisted in the image header's OMAP
 // after every object, so a crashed client resumes where it left off,
-// and the pacer bounds the walker's interference on foreground IO.
+// and an optional pacer bounds the walker's interference on foreground
+// IO.
 //
 // What a scrub pass proves depends on the scheme — the paper's
 // integrity argument as an operational property. SchemeGCM's
@@ -26,9 +26,6 @@ import (
 	"repro/internal/vtime"
 )
 
-// progressKey is the header-OMAP key holding the persisted scrub cursor.
-const progressKey = "scrub.walk"
-
 var (
 	// ErrScrubActive reports a Start while an unfinished scrub exists —
 	// resume it instead (two concurrent walkers would double-charge the
@@ -38,10 +35,28 @@ var (
 	ErrNoScrub = errors.New("scrub: no scrub in progress")
 )
 
+var walk = rbd.NewWalkSpec(rbd.WalkSpec[Progress]{
+	Key:       "scrub.walk",
+	ErrActive: ErrScrubActive, ErrNone: ErrNoScrub,
+	Name: "scrub", DoneHelp: "objects the scrub walker has verified",
+	Blocks: "scrub_blocks_checked_total", BlocksHelp: "present blocks opened and verified by the scrub walker",
+	StartEvent: telemetry.EventScrubStart, StartDetail: "verify sweep",
+	FinishEvent: telemetry.EventScrubFinish, FinishDetail: "findings",
+	Cursor: func(p *Progress) *rbd.Cursor { return &p.Cursor },
+	Valid:  func(p *Progress) bool { return p.Checked >= 0 && p.Found >= 0 && p.Repaired >= 0 },
+})
+
+// The finding counters are scrub's own; the kernel publishes the rest.
+var (
+	mFound = telemetry.NewCounterVec("scrub_blocks_bad_total",
+		"blocks that failed scrub verification (integrity or key-epoch failures)", "image")
+	mRepaired = telemetry.NewCounterVec("scrub_blocks_repaired_total",
+		"bad blocks recovered from an intact replica and re-sealed", "image")
+)
+
 // Progress is the persisted scrub cursor.
 type Progress struct {
-	NextObj int64 `json:"next_obj"` // first object not yet verified
-	Objects int64 `json:"objects"`  // walk domain, fixed at Start
+	rbd.Cursor
 	// Checked/Found/Repaired count blocks verified, failed, and
 	// recovered so far (informational; crash-safety needs only NextObj —
 	// re-verifying an object is idempotent).
@@ -50,195 +65,94 @@ type Progress struct {
 	Repaired int64 `json:"repaired"`
 }
 
-// Done reports whether the walk has covered every object.
-func (p Progress) Done() bool { return p.NextObj >= p.Objects }
-
-// valid reports whether a decoded cursor is internally coherent and
-// matches the image's walk domain; anything else gets the same
-// restart-from-scratch treatment as an undecodable record.
-func (p Progress) valid(objects int64) bool {
-	return p.NextObj >= 0 && p.NextObj <= p.Objects && p.Objects == objects &&
-		p.Checked >= 0 && p.Found >= 0 && p.Repaired >= 0
-}
-
-// Scrubber drives one verification sweep over one image.
+// Scrubber drives one verification sweep over one image. Verification
+// findings are counted, repaired when enabled, and never abort the
+// walk; Step's err is reserved for transport trouble.
 type Scrubber struct {
-	img    *core.EncryptedImage
-	prog   Progress
-	pace   *vtime.Pacer
-	met    walkerMetrics
-	repair bool
+	*rbd.Walk[Progress]
+	img             *core.EncryptedImage
+	repair          bool
+	found, repaired *telemetry.Counter
 }
-
-// newScrubber binds a walker to its image-labeled progress gauges.
-func newScrubber(img *core.EncryptedImage, prog Progress) *Scrubber {
-	return &Scrubber{img: img, met: newWalkerMetrics(img.Image().Name()), prog: prog, repair: true}
-}
-
-// SetPace installs a virtual-time admission budget (IOPS + bytes/s
-// caps) on the walker, bounding its interference on foreground IO the
-// way Ceph's osd_scrub limits bound deep scrub. A nil pacer removes
-// the cap. The same pacer may be shared with other walkers to cap
-// their combined rate.
-func (s *Scrubber) SetPace(p *vtime.Pacer) { s.pace = p }
 
 // SetRepair enables (the default) or disables replica repair of blocks
 // that fail verification. A check-only scrub still counts findings.
 func (s *Scrubber) SetRepair(on bool) { s.repair = on }
 
-// Progress returns the current cursor.
-func (s *Scrubber) Progress() Progress { return s.prog }
-
-// loadProgress reads the persisted cursor, reporting found=false when
-// no scrub is in flight.
-func loadProgress(at vtime.Time, img *core.EncryptedImage) (Progress, bool, vtime.Time, error) {
-	var p Progress
-	found, end, err := img.Image().LoadCursor(at, progressKey, &p)
-	if err != nil {
-		return Progress{}, false, at, err
-	}
-	return p, found, end, nil
+// newScrubber binds a sweep to its image's finding counters. A scrub
+// is only ever refused for being in flight already, so the series it
+// resolves here always belong to a walk that exists.
+func newScrubber(img *core.EncryptedImage) *Scrubber {
+	name := img.Image().Name()
+	return &Scrubber{img: img, repair: true, found: mFound.With(name), repaired: mRepaired.With(name)}
 }
 
-func (s *Scrubber) persist(at vtime.Time) (vtime.Time, error) {
-	return s.img.Image().SaveCursor(at, progressKey, s.prog)
+func (s *Scrubber) hooks() rbd.WalkHooks[Progress] {
+	return rbd.WalkHooks[Progress]{Visit: s.visit, Finish: findings}
 }
 
-func (s *Scrubber) clearProgress(at vtime.Time) (vtime.Time, error) {
-	return s.img.Image().ClearCursor(at, progressKey)
-}
-
-// Start begins a scrub sweep. The progress record is persisted first,
-// so a crash at any later point resumes instead of silently forgetting
-// the sweep was wanted.
+// Start begins a scrub sweep.
 func Start(at vtime.Time, img *core.EncryptedImage) (*Scrubber, vtime.Time, error) {
-	if _, found, end, err := loadProgress(at, img); err != nil {
-		return nil, at, err
-	} else if found {
-		return nil, end, ErrScrubActive
-	}
-	s := newScrubber(img, Progress{Objects: img.ObjectCount()})
-	at, err := s.persist(at)
+	s := newScrubber(img)
+	w, at, err := walk.Start(at, img.Image(), Progress{}, s.hooks())
 	if err != nil {
 		return nil, at, err
 	}
-	s.publish(at)
-	telemetry.Log.Append(at, telemetry.EventScrubStart, img.Image().Name(), "verify sweep", s.prog.Objects)
+	s.Walk = w
 	return s, at, nil
 }
 
 // Resume reattaches to an interrupted scrub on a freshly loaded image —
 // the crash-recovery path. Re-verifying the object the crashed walker
-// was inside is idempotent, so the cursor's object granularity is safe.
+// was inside is idempotent, so the cursor's object granularity is safe;
+// a lost cursor costs only its counters and some redundant verification.
 func Resume(at vtime.Time, img *core.EncryptedImage) (*Scrubber, vtime.Time, error) {
-	p, found, at, err := loadProgress(at, img)
-	switch {
-	case errors.Is(err, rbd.ErrCorruptCursor):
-		return restartFromCorrupt(at, img)
-	case err != nil:
-		return nil, at, err
-	case !found:
-		return nil, at, ErrNoScrub
-	case !p.valid(img.ObjectCount()):
-		return restartFromCorrupt(at, img)
-	}
-	s := newScrubber(img, p)
-	s.publish(at)
-	return s, at, nil
-}
-
-// restartFromCorrupt replaces an undecodable (or out-of-domain) scrub
-// cursor with a full re-walk. The record's existence proves a sweep
-// was in flight; its position and counters are lost, and verifying
-// every object again from zero is merely redundant work.
-func restartFromCorrupt(at vtime.Time, img *core.EncryptedImage) (*Scrubber, vtime.Time, error) {
-	s := newScrubber(img, Progress{Objects: img.ObjectCount()})
-	at, err := s.persist(at)
+	s := newScrubber(img)
+	w, at, err := walk.Resume(at, img.Image(), s.hooks())
 	if err != nil {
 		return nil, at, err
 	}
-	s.publish(at)
+	s.Walk = w
 	return s, at, nil
 }
+
+// findings is the scrub finish: a sweep has nothing to complete, and
+// its finding count goes out with the finish event.
+func findings(at vtime.Time, p *Progress) (int64, vtime.Time, error) { return p.Found, at, nil }
 
 // Abort withdraws an image's scrub progress record. Nothing else needs
 // undoing — verification has no partial state, and any repairs already
 // committed are ordinary (good) writes.
 func Abort(at vtime.Time, img *core.EncryptedImage) (vtime.Time, error) {
-	s := newScrubber(img, Progress{})
-	return s.clearProgress(at)
+	return walk.Abort(at, img.Image())
 }
 
-// Step verifies one object (or finishes the sweep once every object is
-// walked: the progress record is removed). Verification findings are
-// counted, repaired when enabled, and never abort the walk; err is
-// reserved for transport trouble. It returns done=true once the sweep
-// is fully complete.
-func (s *Scrubber) Step(at vtime.Time) (done bool, end vtime.Time, err error) {
-	if s.prog.Done() {
-		at, err = s.clearProgress(at)
-		if err == nil {
-			s.publish(at)
-			telemetry.Log.Append(at, telemetry.EventScrubFinish, s.img.Image().Name(), "findings", s.prog.Found)
-		}
-		return err == nil, at, err
-	}
-	// Pacing: one walker op is admitted against the budget up front; the
-	// bytes actually read and opened (unknown until the object was
-	// examined) are charged afterwards as debt against the next
-	// admission.
+// visit verifies one object and, when enabled, repairs what failed from
+// an intact replica.
+func (s *Scrubber) visit(at vtime.Time, obj int64, p *Progress) (blocks, charge int64, end vtime.Time, err error) {
 	bs := s.img.Options().BlockSize
-	checked, bad, at, err := s.img.VerifyObject(s.pace.Admit(at, 0), s.prog.NextObj)
+	checked, bad, end, err := s.img.VerifyObject(at, obj)
 	if err != nil {
-		return false, at, err
+		return 0, 0, end, err
 	}
-	s.pace.Charge(int64(checked) * bs)
-	if len(bad) > 0 {
-		s.prog.Found += int64(len(bad))
-		s.met.found.Add(int64(len(bad)))
-		if s.repair {
-			blocks := make([]int64, len(bad))
-			for i, b := range bad {
-				blocks[i] = b.Block
-			}
-			n, end2, err := s.img.RepairObject(at, s.prog.NextObj, blocks)
-			if err != nil {
-				return false, at, err
-			}
-			at = end2
-			s.pace.Charge(2 * int64(n) * bs) // replica read + re-seal write
-			s.prog.Repaired += int64(n)
-			s.met.repaired.Add(int64(n))
-			telemetry.Log.Append(at, telemetry.EventRepairDone, s.img.Image().Name(), "blocks re-sealed from replica", int64(n))
+	charge = int64(checked) * bs
+	p.Found += int64(len(bad))
+	s.found.Add(int64(len(bad)))
+	if len(bad) > 0 && s.repair {
+		idx := make([]int64, len(bad))
+		for i, b := range bad {
+			idx[i] = b.Block
 		}
-	}
-	s.prog.NextObj++
-	s.prog.Checked += int64(checked)
-	s.met.blocks.Add(int64(checked))
-	at, err = s.persist(at)
-	s.publish(at)
-	return false, at, err
-}
-
-// Run drives Step until the sweep completes. Like the other walkers it
-// consumes client crypto and cluster resources exactly like foreground
-// IO, so concurrently measured workloads see its interference.
-func (s *Scrubber) Run(at vtime.Time) (vtime.Time, error) {
-	for {
-		done, end, err := s.Step(at)
+		n, repaired, err := s.img.RepairObject(end, obj, idx)
 		if err != nil {
-			return end, err
+			return 0, 0, end, err
 		}
-		at = end
-		if done {
-			return at, nil
-		}
+		end = repaired
+		charge += 2 * int64(n) * bs // replica read + re-seal write
+		p.Repaired += int64(n)
+		s.repaired.Add(int64(n))
+		telemetry.Log.Append(end, telemetry.EventRepairDone, s.img.Image().Name(), "blocks re-sealed from replica", int64(n))
 	}
-}
-
-// Active reports whether an image has an unfinished scrub, and its
-// cursor.
-func Active(at vtime.Time, img *core.EncryptedImage) (bool, Progress, vtime.Time, error) {
-	p, found, end, err := loadProgress(at, img)
-	return found, p, end, err
+	p.Checked += int64(checked)
+	return int64(checked), charge, end, nil
 }

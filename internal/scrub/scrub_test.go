@@ -117,7 +117,7 @@ func TestScrubCleanImage(t *testing.T) {
 		t.Fatalf("walk incomplete: %+v", p)
 	}
 	// The record is withdrawn on completion.
-	if found, _, _, err := Active(0, e); err != nil || found {
+	if found, _, _, err := walk.Active(0, e.Image()); err != nil || found {
 		t.Fatalf("record survives completion: found=%v err=%v", found, err)
 	}
 }
@@ -235,7 +235,7 @@ func TestScrubCrashResume(t *testing.T) {
 	if !bytes.Equal(buf, data) {
 		t.Fatal("data mismatch after crash-resumed scrub")
 	}
-	if found, _, _, err := Active(0, e2); err != nil || found {
+	if found, _, _, err := walk.Active(0, e2.Image()); err != nil || found {
 		t.Fatalf("record survives completion: found=%v err=%v", found, err)
 	}
 	// Nothing left to resume.
@@ -250,7 +250,7 @@ func scribbleProgress(t *testing.T, e *core.EncryptedImage, raw []byte) {
 	t.Helper()
 	res, _, err := e.Image().OperateHeader(0, []rados.Op{{
 		Kind:  rados.OpOmapSet,
-		Pairs: []rados.Pair{{Key: []byte(progressKey), Value: raw}},
+		Pairs: []rados.Pair{{Key: []byte(walk.Key), Value: raw}},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -277,8 +277,8 @@ func TestScrubResumeCorruptCursorRestarts(t *testing.T) {
 	scribbleProgress(t, e, []byte("\xde\xadnot a cursor"))
 
 	// The raw load classifies as corrupt, not as "no scrub".
-	if _, _, _, err := loadProgress(0, e); !errors.Is(err, rbd.ErrCorruptCursor) {
-		t.Fatalf("loadProgress: %v, want ErrCorruptCursor", err)
+	if _, _, _, err := walk.Active(0, e.Image()); !errors.Is(err, rbd.ErrCorruptCursor) {
+		t.Fatalf("Active: %v, want ErrCorruptCursor", err)
 	}
 	s2, _, err := Resume(0, reload(t, e))
 	if err != nil {
@@ -298,12 +298,10 @@ func TestScrubResumeCorruptCursorRestarts(t *testing.T) {
 	}
 	// An out-of-domain cursor (resize happened, domain mismatch) gets the
 	// same restart.
-	s3, _, err := Start(0, e)
-	if err != nil {
+	if _, _, err := Start(0, e); err != nil {
 		t.Fatal(err)
 	}
-	s3.prog.Objects = 999
-	if _, err := s3.persist(0); err != nil {
+	if _, err := e.Image().SaveCursor(0, walk.Key, Progress{Cursor: rbd.Cursor{Objects: 999}}); err != nil {
 		t.Fatal(err)
 	}
 	s4, _, err := Resume(0, reload(t, e))
@@ -323,7 +321,7 @@ func TestScrubAbort(t *testing.T) {
 	if _, err := Abort(0, e); err != nil {
 		t.Fatal(err)
 	}
-	if found, _, _, err := Active(0, e); err != nil || found {
+	if found, _, _, err := walk.Active(0, e.Image()); err != nil || found {
 		t.Fatalf("record survives abort: found=%v err=%v", found, err)
 	}
 	// Start is possible again.

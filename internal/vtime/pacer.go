@@ -112,5 +112,5 @@ func (p *Pacer) String() string {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return fmt.Sprintf("pacer{opCost=%v perByte=%.3fns next=%d}", p.opCost, p.perByte, p.next)
+	return fmt.Sprintf("pacer{opCost=%v perByte=%.3fns next=%v}", p.opCost, p.perByte, Duration(p.next))
 }
