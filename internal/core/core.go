@@ -13,10 +13,10 @@ package core
 
 import (
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -159,20 +159,26 @@ func Format(at vtime.Time, img *rbd.Image, passphrase []byte, opts Options) (vti
 		return at, err
 	}
 	clear(masterKey) // the caller re-derives it via Load
-	luksBlob, err := container.Marshal()
+	desc, err := marshalDescriptor(opts, container)
 	if err != nil {
 		return at, err
 	}
-	desc, err := json.Marshal(format{
+	return img.SetEncryptionBlob(at, desc)
+}
+
+// marshalDescriptor renders the persisted descriptor: the construction
+// opts names around the container's current state.
+func marshalDescriptor(opts Options, container *luks.Container) ([]byte, error) {
+	luksBlob, err := container.Marshal()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(format{
 		Scheme:    opts.Scheme.String(),
 		Layout:    opts.Layout.String(),
 		BlockSize: opts.BlockSize,
 		LUKS:      luksBlob,
 	})
-	if err != nil {
-		return at, err
-	}
-	return img.SetEncryptionBlob(at, desc)
 }
 
 // Load opens an encrypted image with a passphrase.
@@ -352,7 +358,6 @@ func (e *EncryptedImage) writeAtEpoch(at vtime.Time, p []byte, off int64) (vtime
 	if err != nil {
 		return at, err
 	}
-	sml := e.schemeMetaLen()
 
 	plans := make([]*writePlan, len(exts))
 	for i, ext := range exts {
@@ -363,36 +368,15 @@ func (e *EncryptedImage) writeAtEpoch(at vtime.Time, p []byte, off int64) (vtime
 			w.release()
 		}
 	}
-
-	// One entropy draw per IO, scattered into the random prefix of every
-	// block's metadata slot.
-	if rl := e.proto.randLen(); rl > 0 {
-		nbTotal := int64(len(p)) / bs
-		rbuf := getBuf(int(nbTotal) * rl)
-		if _, err := rand.Read(rbuf); err != nil {
-			release()
-			return at, err
-		}
-		g := 0
-		for i := range exts {
-			for b := int64(0); b < exts[i].Length/bs; b++ {
-				copy(plans[i].metaDst(b)[:rl], rbuf[g*rl:])
-				g++
-			}
-		}
-		putBuf(rbuf)
+	if err := e.scatterIVs(plans); err != nil {
+		release()
+		return at, err
 	}
 
 	err = forExtentBlocks(e.workers, exts, bs, func(ei int, b int64) error {
 		ext := exts[ei]
 		blockIdx := uint64((off+ext.BufOff)/bs + b)
-		src := p[ext.BufOff+b*bs : ext.BufOff+(b+1)*bs]
-		meta := plans[ei].metaDst(b)
-		if int64(len(meta)) > sml { // epoch-tagged slot
-			binary.LittleEndian.PutUint32(meta[sml:], epoch)
-			meta = meta[:sml]
-		}
-		return sealer.seal(plans[ei].cipherDst(b), src, blockIdx, meta)
+		return plans[ei].sealBlock(sealer, epoch, b, blockIdx, p[ext.BufOff+b*bs:ext.BufOff+(b+1)*bs])
 	})
 	if err != nil {
 		release()
@@ -445,7 +429,7 @@ func (e *EncryptedImage) writeAtEpoch(at vtime.Time, p []byte, off int64) (vtime
 				a.set(start+b, epoch)
 			}
 			dirtyAlloc = true
-			ops = append(ops, rados.Op{Kind: rados.OpSetAttr, Key: []byte(allocAttr), Data: a.encode()})
+			ops = append(ops, sidecarOp(a))
 		}
 		return e.commitObjectTxn(at, ext.ObjIdx, ops, dirtyAlloc)
 	}
@@ -495,7 +479,7 @@ func (e *EncryptedImage) ReadAtSnapPresent(at vtime.Time, p []byte, off int64, s
 // (virtual-time concurrency), then every fetched block is opened in
 // parallel on the shared datapath pool, decrypting straight into p.
 // Block presence comes from the read results (object existence, logical
-// size, OMAP keys — see parseReadInto), never from sniffing content, so
+// size, OMAP keys — see parseFetch), never from sniffing content, so
 // a legitimately written all-zero-ciphertext block decrypts normally.
 func (e *EncryptedImage) ReadAtSnap(at vtime.Time, p []byte, off int64, snapID uint64) (vtime.Time, error) {
 	// A rekey may retire an epoch between an attempt's fetch and its open
@@ -522,58 +506,26 @@ func (e *EncryptedImage) readAtSnapOnce(at vtime.Time, p []byte, off int64, snap
 		return at, err
 	}
 	bs := e.opts.BlockSize
-	metaLen := e.plan.metaLen
-	sml := e.schemeMetaLen()
 	liveAtFetch := e.ring.epochs()
 
 	// Phase 1: fetch ciphertext+metadata for every extent into pooled
-	// buffers, concurrently across objects. The buffers are allocated
-	// up front and handed to the read ops as destinations, so on the
-	// in-process fast path the OSD fills them directly — a fetched block
-	// crosses the wire with zero intermediate copies. (LayoutUnaligned
-	// reads its stride-interleaved stream into a separate raw buffer
-	// that parseReadInto de-strides.)
-	type extRead struct {
-		cipher  []byte
-		metas   []byte
-		present []byte // 0/1 per block, pooled like the data buffers
-		epochs  []byte // key-epoch tag per block (little-endian uint32)
-		raw     []byte // strided read destination (LayoutUnaligned only)
-	}
-	bufs := make([]extRead, len(exts))
+	// buffers, concurrently across objects. The buffers are handed to
+	// the read ops as destinations, so on the in-process fast path the
+	// OSD fills them directly — a fetched block crosses the wire with
+	// zero intermediate copies. (LayoutUnaligned reads its interleaved
+	// stream into a separate raw buffer that parseFetch de-strides.)
+	bufs := make([]objFetch, len(exts))
 	release := func() {
 		for i := range bufs {
-			putBuf(bufs[i].cipher)
-			putBuf(bufs[i].metas)
-			putBuf(bufs[i].present)
-			putBuf(bufs[i].epochs)
-			putBuf(bufs[i].raw)
+			bufs[i].release()
 		}
 	}
-	fetchOne := func(i int) (vtime.Time, error) {
+	end, err := fanOutExtents(at, len(exts), func(i int) (vtime.Time, error) {
 		ext := exts[i]
-		startBlock := ext.ObjOff / bs
-		nb := ext.Length / bs
-		bufs[i].cipher = getBuf(int(nb * bs))
-		bufs[i].metas = getBuf(int(nb * metaLen))
-		bufs[i].present = getBuf(int(nb))
-		bufs[i].epochs = getBuf(int(nb * epochLen))
-		raw := bufs[i].cipher
-		if e.plan.layout == LayoutUnaligned {
-			bufs[i].raw = getBuf(int(e.plan.rawReadLen(nb)))
-			raw = bufs[i].raw
-		}
-		res, end, err := e.img.Operate(at, ext.ObjIdx, snapID, e.plan.readOpsInto(startBlock, nb, raw, bufs[i].metas))
-		if err != nil {
-			return at, err
-		}
-		if err := e.plan.parseReadInto(startBlock, nb, res, bufs[i].cipher, bufs[i].metas, bufs[i].present, bufs[i].epochs); err != nil {
-			return at, err
-		}
-		return end, nil
-	}
-
-	end, err := fanOutExtents(at, len(exts), fetchOne)
+		f, end, err := e.fetch(at, ext.ObjIdx, snapID, ext.ObjOff/bs, ext.Length/bs, true, primaryOSD)
+		bufs[i] = f
+		return end, err
+	})
 	if err != nil {
 		release()
 		return at, err
@@ -584,30 +536,22 @@ func (e *EncryptedImage) readAtSnapOnce(at vtime.Time, p []byte, off int64, snap
 	// that block has been crypto-erased).
 	err = forExtentBlocks(e.workers, exts, bs, func(ei int, b int64) error {
 		ext := exts[ei]
+		f := &bufs[ei]
 		dst := p[ext.BufOff+b*bs : ext.BufOff+(b+1)*bs]
 		if presOut != nil {
 			// Distinct elements written from distinct blocks: race-free.
-			presOut[ext.BufOff/bs+b] = bufs[ei].present[b] != 0
+			presOut[ext.BufOff/bs+b] = f.present[b] != 0
 		}
-		if bufs[ei].present[b] == 0 {
+		if f.present[b] == 0 {
 			// Hole: never written (sparse read).
 			clear(dst)
 			return nil
 		}
-		epoch := binary.LittleEndian.Uint32(bufs[ei].epochs[b*epochLen:])
-		opener, err := e.ring.cryptorFor(epoch)
-		if err != nil {
-			for _, ep := range liveAtFetch {
-				if ep == epoch {
-					return fmt.Errorf("core: epoch %d: %w", epoch, errEpochRetiredMidRead)
-				}
-			}
-			return err
+		err := e.openBlock(f, b, uint64((off+ext.BufOff)/bs+b), dst)
+		if errors.Is(err, ErrKeyErased) && slices.Contains(liveAtFetch, f.epoch(b)) {
+			return fmt.Errorf("core: epoch %d: %w", f.epoch(b), errEpochRetiredMidRead)
 		}
-		blockIdx := uint64((off+ext.BufOff)/bs + b)
-		src := bufs[ei].cipher[b*bs : (b+1)*bs]
-		meta := bufs[ei].metas[b*metaLen : b*metaLen+sml]
-		return opener.open(dst, src, blockIdx, meta)
+		return err
 	})
 	release()
 	if err != nil {
@@ -616,6 +560,229 @@ func (e *EncryptedImage) readAtSnapOnce(at vtime.Time, p []byte, off int64, snap
 	opened := e.chargeCrypto(end, int64(len(p)))
 	attr.Observe(attr.OpRead, attr.PhaseOpen, opened.Sub(end))
 	return opened, nil
+}
+
+// ---- the object transaction ----
+//
+// Everything that touches one striping object — the read and write
+// paths above and the maintenance primitives below (rekey, copyup,
+// scrub-verify, repair) — goes through one fetch and one re-seal/commit:
+// fetch fills an objFetch and decides presence (parseFetch, the only
+// place the rules exist), openBlock opens a fetched block under the
+// epoch its tag names, resealObject seals plaintext into a block set
+// and commits data, metadata and sidecar in one atomic transaction. A
+// maintenance primitive is the order
+//
+//	lock → sample epoch → fetch → decide → reseal → commit → release
+//
+// and supplies only the deciding: which blocks, and where their
+// plaintext comes from.
+
+// primaryOSD as a fetch target reads through the normal replicated path.
+const primaryOSD = -1
+
+// fetch reads blocks [start, start+nb) of one object at snapID into
+// pooled buffers and decodes presence (see parseFetch); withData false is
+// the presence probe. target is primaryOSD, or one replica's OSD id for
+// a direct single-copy read (repair). On success the caller release()s
+// the result; on failure nothing is retained.
+func (e *EncryptedImage) fetch(at vtime.Time, objIdx int64, snapID uint64, start, nb int64, withData bool, target int) (objFetch, vtime.Time, error) {
+	var f objFetch
+	f.metas = getBuf(int(nb * e.plan.metaLen))
+	f.present = getBuf(int(nb))
+	var raw []byte
+	if withData {
+		f.cipher = getBuf(int(nb * e.plan.blockSize))
+		f.epochs = getBuf(int(nb * epochLen))
+		raw = f.cipher
+	}
+	if e.plan.layout == LayoutUnaligned {
+		f.raw = getBuf(int(nb * (e.plan.blockSize + e.plan.metaLen)))
+		raw = f.raw
+	}
+	ops := e.plan.fetchOps(start, nb, withData, raw, f.metas)
+	var (
+		res []rados.Result
+		end vtime.Time
+		err error
+	)
+	if target == primaryOSD {
+		res, end, err = e.img.Operate(at, objIdx, snapID, ops)
+	} else {
+		res, end, err = e.img.OperateOn(at, target, objIdx, snapID, ops)
+	}
+	if err == nil {
+		err = e.plan.parseFetch(start, nb, withData, res, &f)
+	}
+	if err != nil {
+		f.release()
+		return objFetch{}, at, err
+	}
+	return f, end, nil
+}
+
+// openBlock opens fetched block b (relative to the fetch's first block)
+// into dst under the key epoch its tag names; a destroyed epoch is
+// ErrKeyErased.
+func (e *EncryptedImage) openBlock(f *objFetch, b int64, blockIdx uint64, dst []byte) error {
+	opener, err := e.ring.cryptorFor(f.epoch(b))
+	if err != nil {
+		return err
+	}
+	bs, ml := e.plan.blockSize, e.plan.metaLen
+	return opener.open(dst, f.cipher[b*bs:(b+1)*bs], blockIdx, f.metas[b*ml:b*ml+e.schemeMetaLen()])
+}
+
+// checkObject rejects an object index outside the image: the
+// maintenance primitives take indexes from walkers and callers, and a
+// stray one would seal blocks into (or do IO against) an object name
+// that is not part of the image.
+func (e *EncryptedImage) checkObject(op string, objIdx int64) error {
+	if objIdx < 0 || objIdx >= e.ObjectCount() {
+		return fmt.Errorf("core: %s object %d out of range", op, objIdx)
+	}
+	return nil
+}
+
+// scatterIVs draws one batch of entropy and scatters it into the random
+// prefix of every staged block's metadata slot, in plan order.
+func (e *EncryptedImage) scatterIVs(plans []*writePlan) error {
+	rl := e.proto.randLen()
+	if rl == 0 {
+		return nil
+	}
+	var nb int64
+	for _, w := range plans {
+		nb += w.nb
+	}
+	rbuf := getBuf(int(nb) * rl)
+	_, err := rand.Read(rbuf)
+	if err == nil {
+		g := 0
+		for _, w := range plans {
+			for b := int64(0); b < w.nb; b++ {
+				copy(w.metaDst(b)[:rl], rbuf[g*rl:])
+				g++
+			}
+		}
+	}
+	putBuf(rbuf)
+	return err
+}
+
+// sidecarOp is the op persisting an allocation sidecar: appended to the
+// transaction that writes the blocks the sidecar now describes.
+func sidecarOp(a *objAlloc) rados.Op {
+	return rados.Op{Kind: rados.OpSetAttr, Key: []byte(allocAttr), Data: a.encode()}
+}
+
+// resealObject seals plain (len(blocks)*BlockSize bytes, in blocks'
+// order) into the given sorted object-relative blocks under epoch and
+// commits every run, its metadata and — for metadata-free schemes — the
+// sidecar in one atomic transaction. The caller holds the object's
+// exclusive lock.
+func (e *EncryptedImage) resealObject(at vtime.Time, objIdx int64, blocks []int64, plain []byte, epoch uint32) (vtime.Time, error) {
+	sealer, err := e.ring.cryptorFor(epoch)
+	if err != nil {
+		return at, err
+	}
+	plans, slots := e.stagePlans(blocks)
+	defer func() {
+		for _, w := range plans {
+			w.release()
+		}
+	}()
+	if err := e.scatterIVs(plans); err != nil {
+		return at, err
+	}
+	bs, nbObj := e.opts.BlockSize, e.plan.objBlocks()
+	err = forBlocks(e.workers, int64(len(blocks)), func(lo, hi int64) error {
+		for k := lo; k < hi; k++ {
+			blockIdx := uint64(objIdx*nbObj + blocks[k])
+			if err := slots[k].plan.sealBlock(sealer, epoch, slots[k].local, blockIdx, plain[k*bs:(k+1)*bs]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return at, err
+	}
+	end := e.chargeCrypto(at, int64(len(blocks))*bs)
+
+	var ops []rados.Op
+	for _, w := range plans {
+		ops = append(ops, w.ops()...)
+	}
+	if e.plan.trackAlloc {
+		a, loaded, err := e.loadAlloc(end, objIdx)
+		if err != nil {
+			return at, err
+		}
+		end = loaded
+		for _, b := range blocks {
+			a.set(b, epoch)
+		}
+		ops = append(ops, sidecarOp(a))
+	}
+	end, err = e.commitObjectTxn(end, objIdx, ops, e.plan.trackAlloc)
+	if err != nil {
+		return at, err
+	}
+	return end, nil
+}
+
+// planSlot locates one staged block inside a writePlan.
+type planSlot struct {
+	plan  *writePlan
+	local int64
+}
+
+// stagePlans builds write plans over the contiguous runs of the given
+// sorted object-relative blocks. slots[i] is blocks[i]'s destination;
+// the caller releases every returned plan.
+func (e *EncryptedImage) stagePlans(blocks []int64) ([]*writePlan, []planSlot) {
+	slots := make([]planSlot, len(blocks))
+	var plans []*writePlan
+	for i := 0; i < len(blocks); {
+		j := i
+		for j+1 < len(blocks) && blocks[j+1] == blocks[j]+1 {
+			j++
+		}
+		w := e.plan.newWritePlan(blocks[i], int64(j-i+1))
+		plans = append(plans, w)
+		for k := i; k <= j; k++ {
+			slots[k] = planSlot{plan: w, local: int64(k - i)}
+		}
+		i = j + 1
+	}
+	return plans, slots
+}
+
+// appendBlock appends b to an ascending list of an object's blocks,
+// sizing the list once, on first use, for everything that can follow.
+func appendBlock(list []int64, b, nb int64) []int64 {
+	if list == nil {
+		list = make([]int64, 0, nb-b)
+	}
+	return append(list, b)
+}
+
+// compactKept drops the blocks whose keep flag is false (or missing),
+// moving the kept blocks' plaintext down in place so plain stays in
+// block order, and returns the kept blocks.
+func compactKept(blocks []int64, keep []bool, plain []byte, bs int64) []int64 {
+	kept := blocks[:0]
+	for i, b := range blocks {
+		if i >= len(keep) || !keep[i] {
+			continue
+		}
+		if k := int64(len(kept)); k != int64(i) {
+			copy(plain[k*bs:(k+1)*bs], plain[int64(i)*bs:int64(i+1)*bs])
+		}
+		kept = append(kept, b)
+	}
+	return kept
 }
 
 // ---- allocation sidecar cache (metadata-free schemes) ----
@@ -702,16 +869,7 @@ func (e *EncryptedImage) commitObjectTxn(at vtime.Time, objIdx int64, ops []rado
 // persistContainer rewrites the image's encryption descriptor with the
 // current container state. Callers hold keyMu.
 func (e *EncryptedImage) persistContainer(at vtime.Time) (vtime.Time, error) {
-	luksBlob, err := e.container.Marshal()
-	if err != nil {
-		return at, err
-	}
-	desc, err := json.Marshal(format{
-		Scheme:    e.opts.Scheme.String(),
-		Layout:    e.opts.Layout.String(),
-		BlockSize: e.opts.BlockSize,
-		LUKS:      luksBlob,
-	})
+	desc, err := marshalDescriptor(e.opts, e.container)
 	if err != nil {
 		return at, err
 	}
@@ -801,181 +959,49 @@ func (e *EncryptedImage) DropEpoch(at vtime.Time, epoch uint32) (vtime.Time, err
 // re-sealed blocks and their metadata move in one atomic transaction.
 // It returns the number of blocks rewritten.
 func (e *EncryptedImage) RekeyObject(at vtime.Time, objIdx int64) (int, vtime.Time, error) {
-	bs := e.opts.BlockSize
-	nb := e.plan.objBlocks()
-	metaLen := e.plan.metaLen
-	sml := e.schemeMetaLen()
-	target := e.ring.currentEpoch()
-	sealer, err := e.ring.cryptorFor(target)
-	if err != nil {
+	if err := e.checkObject("rekey", objIdx); err != nil {
 		return 0, at, err
 	}
-
+	bs, nb := e.opts.BlockSize, e.plan.objBlocks()
 	lk := e.locks.of(objIdx)
 	lk.Lock()
 	defer lk.Unlock()
-	if cur := e.ring.currentEpoch(); cur != target {
-		return 0, at, fmt.Errorf("core: epoch advanced to %d during rekey toward %d", cur, target)
-	}
+	target := e.ring.currentEpoch()
 
-	cipher := getBuf(int(nb * bs))
-	metas := getBuf(int(nb * metaLen))
-	present := getBuf(int(nb))
-	epochs := getBuf(int(nb * epochLen))
-	raw := cipher
-	var rawStride []byte
-	if e.plan.layout == LayoutUnaligned {
-		rawStride = getBuf(int(e.plan.rawReadLen(nb)))
-		raw = rawStride
-	}
-	release := func() {
-		putBuf(cipher)
-		putBuf(metas)
-		putBuf(present)
-		putBuf(epochs)
-		putBuf(rawStride)
-	}
-	res, end, err := e.img.Operate(at, objIdx, 0, e.plan.readOpsInto(0, nb, raw, metas))
+	f, end, err := e.fetch(at, objIdx, 0, 0, nb, true, primaryOSD)
 	if err != nil {
-		release()
 		return 0, at, err
 	}
-	if err := e.plan.parseReadInto(0, nb, res, cipher, metas, present, epochs); err != nil {
-		release()
-		return 0, at, err
-	}
-
-	// Collect the stale blocks.
+	defer f.release()
 	var stale []int64
 	for b := int64(0); b < nb; b++ {
-		if present[b] != 0 && binary.LittleEndian.Uint32(epochs[b*epochLen:]) != target {
-			stale = append(stale, b)
+		if f.present[b] != 0 && f.epoch(b) != target {
+			stale = appendBlock(stale, b, nb)
 		}
 	}
 	if len(stale) == 0 {
-		release()
 		return 0, end, nil
 	}
 
-	// Stage write plans over the contiguous stale runs, IVs pre-seeded.
-	plans, slots, err := e.stagePlans(stale)
-	if err != nil {
-		release()
-		return 0, at, err
-	}
-	releasePlans := func() {
-		for _, w := range plans {
-			w.release()
-		}
-	}
-
-	// Open under the old epoch, re-seal under the target, on the shared
-	// datapath pool.
+	// Open under each block's old epoch, on the shared datapath pool.
 	plain := getBuf(len(stale) * int(bs))
+	defer putBuf(plain)
 	err = forBlocks(e.workers, int64(len(stale)), func(lo, hi int64) error {
 		for k := lo; k < hi; k++ {
-			b := stale[k]
-			oldEpoch := binary.LittleEndian.Uint32(epochs[b*epochLen:])
-			opener, err := e.ring.cryptorFor(oldEpoch)
-			if err != nil {
-				return err
-			}
-			blockIdx := uint64(objIdx*nb + b)
-			dst := plain[k*bs : (k+1)*bs]
-			var oldMeta []byte
-			if metaLen > 0 {
-				oldMeta = metas[b*metaLen : b*metaLen+sml]
-			}
-			if err := opener.open(dst, cipher[b*bs:(b+1)*bs], blockIdx, oldMeta); err != nil {
-				return err
-			}
-			meta := slots[k].plan.metaDst(slots[k].local)
-			if int64(len(meta)) > sml { // epoch-tagged slot
-				binary.LittleEndian.PutUint32(meta[sml:], target)
-				meta = meta[:sml]
-			}
-			if err := sealer.seal(slots[k].plan.cipherDst(slots[k].local), dst, blockIdx, meta); err != nil {
+			if err := e.openBlock(&f, stale[k], uint64(objIdx*nb+stale[k]), plain[k*bs:(k+1)*bs]); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	putBuf(plain)
-	release()
 	if err != nil {
-		releasePlans()
 		return 0, at, err
 	}
-	end = e.chargeCrypto(end, 2*int64(len(stale))*bs)
-
-	// One atomic transaction: every re-sealed run, plus the sidecar for
-	// metadata-free schemes.
-	var ops []rados.Op
-	for _, w := range plans {
-		ops = append(ops, w.ops()...)
-	}
-	dirtyAlloc := false
-	if e.plan.trackAlloc {
-		a, end2, err := e.loadAlloc(end, objIdx)
-		if err != nil {
-			releasePlans()
-			return 0, at, err
-		}
-		end = end2
-		for _, b := range stale {
-			a.set(b, target)
-		}
-		dirtyAlloc = true
-		ops = append(ops, rados.Op{Kind: rados.OpSetAttr, Key: []byte(allocAttr), Data: a.encode()})
-	}
-	end, err = e.commitObjectTxn(end, objIdx, ops, dirtyAlloc)
-	releasePlans()
-	if err != nil {
+	end = e.chargeCrypto(end, int64(len(stale))*bs)
+	if end, err = e.resealObject(end, objIdx, stale, plain, target); err != nil {
 		return 0, at, err
 	}
 	return len(stale), end, nil
-}
-
-// planSlot locates one staged block inside a writePlan.
-type planSlot struct {
-	plan  *writePlan
-	local int64
-}
-
-// stagePlans builds write plans over the contiguous runs of the given
-// sorted object-relative blocks and scatters fresh IV randomness into
-// every block's metadata slot. slots[i] is blocks[i]'s destination. The
-// caller releases every returned plan; on error nothing is retained.
-func (e *EncryptedImage) stagePlans(blocks []int64) ([]*writePlan, []planSlot, error) {
-	slots := make([]planSlot, len(blocks))
-	var plans []*writePlan
-	for i := 0; i < len(blocks); {
-		j := i
-		for j+1 < len(blocks) && blocks[j+1] == blocks[j]+1 {
-			j++
-		}
-		w := e.plan.newWritePlan(blocks[i], int64(j-i+1))
-		plans = append(plans, w)
-		for k := i; k <= j; k++ {
-			slots[k] = planSlot{plan: w, local: int64(k - i)}
-		}
-		i = j + 1
-	}
-	if rl := e.proto.randLen(); rl > 0 {
-		rbuf := getBuf(len(blocks) * rl)
-		if _, err := rand.Read(rbuf); err != nil {
-			for _, w := range plans {
-				w.release()
-			}
-			putBuf(rbuf)
-			return nil, nil, err
-		}
-		for k := range blocks {
-			copy(slots[k].plan.metaDst(slots[k].local)[:rl], rbuf[k*rl:])
-		}
-		putBuf(rbuf)
-	}
-	return plans, slots, nil
 }
 
 // PresentRange reports, per block of the block-aligned range
@@ -998,35 +1024,18 @@ func (e *EncryptedImage) PresentRange(at vtime.Time, off, length int64, snapID u
 	if err != nil {
 		return nil, at, err
 	}
-	probeOne := func(i int) (vtime.Time, error) {
+	end, err := fanOutExtents(at, len(exts), func(i int) (vtime.Time, error) {
 		ext := exts[i]
-		startBlock := ext.ObjOff / bs
-		nb := ext.Length / bs
-		metas := getBuf(int(nb * e.plan.metaLen))
-		present := getBuf(int(nb))
-		var raw []byte
-		if e.plan.layout == LayoutUnaligned {
-			raw = getBuf(int(e.plan.rawReadLen(nb)))
-		}
-		release := func() {
-			putBuf(metas)
-			putBuf(present)
-			putBuf(raw)
-		}
-		defer release()
-		res, end, err := e.img.Operate(at, ext.ObjIdx, snapID, e.plan.probeOps(startBlock, nb, raw, metas))
+		f, end, err := e.fetch(at, ext.ObjIdx, snapID, ext.ObjOff/bs, ext.Length/bs, false, primaryOSD)
 		if err != nil {
 			return at, err
 		}
-		if err := e.plan.parseProbe(startBlock, nb, res, metas, present, nil); err != nil {
-			return at, err
+		for b, v := range f.present {
+			out[ext.BufOff/bs+int64(b)] = v != 0
 		}
-		for b := int64(0); b < nb; b++ {
-			out[ext.BufOff/bs+b] = present[b] != 0
-		}
+		f.release()
 		return end, nil
-	}
-	end, err := fanOutExtents(at, len(exts), probeOne)
+	})
 	if err != nil {
 		return nil, at, err
 	}
@@ -1038,144 +1047,60 @@ func (e *EncryptedImage) PresentRange(at vtime.Time, off, length int64, snapID u
 // flatten primitive. It holds the object's exclusive lock across its
 // probe-fetch-seal-commit cycle, so concurrent writes (shared lock)
 // either land before the probe — and are skipped as already-owned — or
-// after the commit; the same fencing discipline as RekeyObject. fetch is
+// after the commit; the same fencing discipline as RekeyObject. source is
 // called once, under the lock, with the object-relative indices of the
 // absent blocks and a plaintext buffer to fill (len(blocks) *
 // BlockSize); keep[i] = false leaves blocks[i] a hole (the parent chain
-// had no data either). fetch must not IO back into this image (the lock
+// had no data either). source must not IO back into this image (the lock
 // is held). All copied blocks seal under the current key epoch — sampled
 // under the lock, so a concurrent rekey either re-seals them afterwards
 // (it queues on the same lock) or already advanced the epoch this sample
 // sees — and commit in one atomic transaction. Returns the number of
 // blocks copied.
 func (e *EncryptedImage) CopyupObject(at vtime.Time, objIdx int64,
-	fetch func(at vtime.Time, blocks []int64, plain []byte) (keep []bool, end vtime.Time, err error),
+	source func(at vtime.Time, blocks []int64, plain []byte) (keep []bool, end vtime.Time, err error),
 ) (int, vtime.Time, error) {
-	bs := e.opts.BlockSize
-	nbObj := e.plan.objBlocks()
-	nb := nbObj
+	if err := e.checkObject("copyup", objIdx); err != nil {
+		return 0, at, err
+	}
+	bs, nb := e.opts.BlockSize, e.plan.objBlocks()
 	// Clip to the image tail: the last striping object may extend past
 	// the image size, and copyup must not materialize phantom blocks.
-	if maxNb := (e.img.Size()+bs-1)/bs - objIdx*nbObj; maxNb < nb {
+	if maxNb := (e.img.Size()+bs-1)/bs - objIdx*nb; maxNb < nb {
 		nb = maxNb
-	}
-	if nb <= 0 {
-		return 0, at, nil
 	}
 	lk := e.locks.of(objIdx)
 	lk.Lock()
 	defer lk.Unlock()
 	epoch := e.ring.currentEpoch()
-	sealer, err := e.ring.cryptorFor(epoch)
-	if err != nil {
-		return 0, at, err
-	}
 
 	// Probe which blocks the image already owns.
-	metas := getBuf(int(nb * e.plan.metaLen))
-	present := getBuf(int(nb))
-	var raw []byte
-	if e.plan.layout == LayoutUnaligned {
-		raw = getBuf(int(e.plan.rawReadLen(nb)))
-	}
-	res, end, err := e.img.Operate(at, objIdx, 0, e.plan.probeOps(0, nb, raw, metas))
-	if err == nil {
-		err = e.plan.parseProbe(0, nb, res, metas, present, nil)
-	}
-	var absent []int64
-	if err == nil {
-		for b := int64(0); b < nb; b++ {
-			if present[b] == 0 {
-				absent = append(absent, b)
-			}
-		}
-	}
-	putBuf(metas)
-	putBuf(present)
-	putBuf(raw)
+	f, end, err := e.fetch(at, objIdx, 0, 0, nb, false, primaryOSD)
 	if err != nil {
 		return 0, at, err
 	}
+	var absent []int64
+	for b, v := range f.present {
+		if v == 0 {
+			absent = appendBlock(absent, int64(b), nb)
+		}
+	}
+	f.release()
 	if len(absent) == 0 {
 		return 0, end, nil
 	}
 
 	plain := getBuf(len(absent) * int(bs))
-	keep, end, err := fetch(end, absent, plain)
+	defer putBuf(plain)
+	keep, end, err := source(end, absent, plain)
 	if err != nil {
-		putBuf(plain)
 		return 0, at, err
 	}
-	// Compact to the kept blocks, moving plaintext down in place.
-	kept := absent[:0]
-	for i, b := range absent {
-		if i >= len(keep) || !keep[i] {
-			continue
-		}
-		if k := len(kept); k != i {
-			copy(plain[int64(k)*bs:int64(k+1)*bs], plain[int64(i)*bs:int64(i+1)*bs])
-		}
-		kept = append(kept, b)
-	}
+	kept := compactKept(absent, keep, plain, bs)
 	if len(kept) == 0 {
-		putBuf(plain)
 		return 0, end, nil
 	}
-
-	plans, slots, err := e.stagePlans(kept)
-	if err != nil {
-		putBuf(plain)
-		return 0, at, err
-	}
-	releasePlans := func() {
-		for _, w := range plans {
-			w.release()
-		}
-	}
-	sml := e.schemeMetaLen()
-	err = forBlocks(e.workers, int64(len(kept)), func(lo, hi int64) error {
-		for k := lo; k < hi; k++ {
-			b := kept[k]
-			blockIdx := uint64(objIdx*nbObj + b)
-			meta := slots[k].plan.metaDst(slots[k].local)
-			if int64(len(meta)) > sml { // epoch-tagged slot
-				binary.LittleEndian.PutUint32(meta[sml:], epoch)
-				meta = meta[:sml]
-			}
-			if err := sealer.seal(slots[k].plan.cipherDst(slots[k].local), plain[k*bs:(k+1)*bs], blockIdx, meta); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	putBuf(plain)
-	if err != nil {
-		releasePlans()
-		return 0, at, err
-	}
-	end = e.chargeCrypto(end, int64(len(kept))*bs)
-
-	var ops []rados.Op
-	for _, w := range plans {
-		ops = append(ops, w.ops()...)
-	}
-	dirtyAlloc := false
-	if e.plan.trackAlloc {
-		a, end2, err := e.loadAlloc(end, objIdx)
-		if err != nil {
-			releasePlans()
-			return 0, at, err
-		}
-		end = end2
-		for _, b := range kept {
-			a.set(b, epoch)
-		}
-		dirtyAlloc = true
-		ops = append(ops, rados.Op{Kind: rados.OpSetAttr, Key: []byte(allocAttr), Data: a.encode()})
-	}
-	end, err = e.commitObjectTxn(end, objIdx, ops, dirtyAlloc)
-	releasePlans()
-	if err != nil {
+	if end, err = e.resealObject(end, objIdx, kept, plain, epoch); err != nil {
 		return 0, at, err
 	}
 	return len(kept), end, nil
@@ -1209,30 +1134,22 @@ func (e *EncryptedImage) Discard(at vtime.Time, off, length int64) (vtime.Time, 
 		lk.Lock()
 		defer lk.Unlock()
 
-		dirtyAlloc := false
-		var ops []rados.Op
+		// Probe before punching: discarding a never-created object (or a
+		// range with nothing allocated in it) must not materialize it, or
+		// move zero bytes, just to make holes that already exist.
+		var a *objAlloc
 		if e.plan.trackAlloc {
-			a, end, err := e.loadAlloc(at, ext.ObjIdx)
-			if err != nil {
+			var err error
+			if a, at, err = e.loadAlloc(at, ext.ObjIdx); err != nil {
 				return at, err
 			}
-			at = end
 			if !a.anyPresent(start, start+nbx) {
-				// Nothing allocated in the range: already holes; do not
-				// create the object just to zero it.
 				return at, nil
 			}
 			for b := start; b < start+nbx; b++ {
 				a.clearBlock(b)
 			}
-			dirtyAlloc = true
-			dops, release := e.plan.discardOps(start, nbx)
-			defer release()
-			ops = append(dops, rados.Op{Kind: rados.OpSetAttr, Key: []byte(allocAttr), Data: a.encode()})
 		} else {
-			// Probe before punching: discarding a never-created object
-			// must not materialize it (or move zero bytes) just to make
-			// holes that already exist.
 			res, end, err := e.img.Operate(at, ext.ObjIdx, 0, []rados.Op{{Kind: rados.OpStat}})
 			if err != nil {
 				return at, err
@@ -1241,11 +1158,13 @@ func (e *EncryptedImage) Discard(at vtime.Time, off, length int64) (vtime.Time, 
 			if res[0].Status == rados.StatusNotFound {
 				return at, nil
 			}
-			dops, release := e.plan.discardOps(start, nbx)
-			defer release()
-			ops = dops
 		}
-		return e.commitObjectTxn(at, ext.ObjIdx, ops, dirtyAlloc)
+		w, ops := e.plan.discardPlan(start, nbx)
+		defer w.release()
+		if a != nil {
+			ops = append(ops, sidecarOp(a))
+		}
+		return e.commitObjectTxn(at, ext.ObjIdx, ops, a != nil)
 	}
 
 	return fanOutExtents(at, len(exts), func(i int) (vtime.Time, error) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 
@@ -339,5 +340,48 @@ func BenchmarkDatapathAttr(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestHotPathAllocBudget pins the per-op heap allocations of a warmed
+// 4 KiB ReadAt and WriteAt through the whole in-process stack at the
+// counts measured at the commit before the object-transaction kernel was
+// factored out (23 and 128). One stray closure, interface conversion
+// or escaped objFetch per IO fails here, long before it trips
+// BENCHMARK.json's 2 % allocs_per_op bound.
+func TestHotPathAllocBudget(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if (s.Key == "-race" && s.Value == "true") || (s.Key == "-tags" && s.Value != "") {
+				t.Skipf("instrumented build (%s=%s) allocates differently", s.Key, s.Value)
+			}
+		}
+	}
+	const readBudget, writeBudget = 23, 128
+	e := newEncrypted(t, SchemeXTSRand, LayoutObjectEnd)
+	e.SetParallelism(1)
+	buf := make([]byte, 4096)
+	io := func(write bool) func() {
+		return func() {
+			var err error
+			if write {
+				_, err = e.WriteAt(0, buf, 8192)
+			} else {
+				_, err = e.ReadAt(0, buf, 8192)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 64; i++ { // warm the object, the locks and the pools
+		io(true)()
+		io(false)()
+	}
+	if got := testing.AllocsPerRun(200, io(false)); got > readBudget {
+		t.Errorf("4 KiB ReadAt: %.0f allocs/op, budget %d", got, readBudget)
+	}
+	if got := testing.AllocsPerRun(200, io(true)); got > writeBudget {
+		t.Errorf("4 KiB WriteAt: %.0f allocs/op, budget %d", got, writeBudget)
 	}
 }

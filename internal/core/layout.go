@@ -74,7 +74,10 @@ func omapIVKeyInto(k []byte, block int64) {
 
 // planner turns an object-relative block run plus its ciphertext and
 // metadata into op vectors, and parses read results back. All offsets are
-// in blocks relative to the object start.
+// in blocks relative to the object start. It is the wire half of the
+// object transaction (core.go): one builder for writes and discards
+// (writePlan), one for fetches and probes (fetchShape/fetchOps), and one
+// parser (parseFetch) that owns every presence rule.
 //
 // metaLen is the STORED metadata per block: the scheme's IV/tag bytes
 // plus — when epochTagged — the epochLen-byte key-epoch tag (images
@@ -174,6 +177,19 @@ func (w *writePlan) metaDst(b int64) []byte {
 	return w.meta[b*ml : (b+1)*ml]
 }
 
+// sealBlock seals src into block b's wire destination under (sealer,
+// epoch): where the stored slot has an epoch-tag tail the tag is stamped
+// there and the scheme sees only its own prefix.
+func (w *writePlan) sealBlock(sealer cryptor, epoch uint32, b int64, blockIdx uint64, src []byte) error {
+	meta := w.metaDst(b)
+	if w.p.epochTagged {
+		sml := len(meta) - epochLen
+		binary.LittleEndian.PutUint32(meta[sml:], epoch)
+		meta = meta[:sml]
+	}
+	return sealer.seal(w.cipherDst(b), src, blockIdx, meta)
+}
+
 // ops builds the atomic op vector over the staged buffers, zero-copy.
 func (w *writePlan) ops() []rados.Op {
 	p := w.p
@@ -222,60 +238,85 @@ func (w *writePlan) release() {
 	w.wire, w.meta, w.keys = nil, nil, nil
 }
 
-// readOps builds the op vector fetching blocks [startBlock, startBlock+nb)
-// with their metadata. The final op is always an OpStat: the object's
-// logical size is the presence signal that distinguishes never-written
-// (sparse) block runs from legitimately written ones, replacing the old
-// all-zero-ciphertext sniffing that misread Decrypt(0) blocks as holes.
-func (p *planner) readOps(startBlock, nb int64) []rados.Op {
-	return p.readOpsInto(startBlock, nb, nil, nil)
+// objFetch is one object extent as fetched: the five pooled buffers a
+// fetch fills, owned by value by whoever issued it (the per-IO slice in
+// the read path, a local in the maintenance primitives). A presence
+// probe leaves cipher and epochs nil.
+type objFetch struct {
+	cipher  []byte // nb ciphertext blocks, de-strided
+	metas   []byte // nb stored metadata slots
+	present []byte // 0/1 per block
+	epochs  []byte // key-epoch tag per block, little-endian uint32
+	raw     []byte // interleaved read destination (LayoutUnaligned only)
 }
 
-// rawReadLen is the size of the raw data-read destination for nb blocks:
-// the stride-interleaved stream under LayoutUnaligned, the plain
-// ciphertext run otherwise.
-func (p *planner) rawReadLen(nb int64) int64 {
-	if p.layout == LayoutUnaligned {
-		return nb * (p.blockSize + p.metaLen)
+// epoch is fetched block b's key-epoch tag.
+func (f *objFetch) epoch(b int64) uint32 {
+	return binary.LittleEndian.Uint32(f.epochs[b*epochLen:])
+}
+
+// release returns the buffers to the pool; releasing twice (or a fetch
+// that never happened) is a no-op.
+func (f *objFetch) release() {
+	putBuf(f.cipher)
+	putBuf(f.metas)
+	putBuf(f.present)
+	putBuf(f.epochs)
+	putBuf(f.raw)
+	*f = objFetch{}
+}
+
+// fetchShape states, for this layout, which result of a fetch carries
+// what: data is the ciphertext read (-1 for a probe), meta the metadata
+// source — the allocation sidecar attribute (LayoutNone), the object-end
+// region read, the OMAP key range, or under LayoutUnaligned the
+// interleaved stream itself, which a probe must therefore still read (the
+// one layout where presence costs a data transfer, another point against
+// Fig. 2a). The last of the n results is always the OpStat: the object's
+// logical size is a presence signal, so content never has to be.
+func (p *planner) fetchShape(withData bool) (data, meta, n int) {
+	data = -1
+	if withData {
+		data = 0
+		if p.layout != LayoutUnaligned {
+			meta = 1
+		}
 	}
-	return nb * p.blockSize
+	return data, meta, meta + 2
 }
 
-// readOpsInto is readOps with destination plumbing for the in-process
-// fast path: raw (rawReadLen bytes), when non-nil, receives the data
-// read, and metas (nb*metaLen bytes) the object-end metadata read, so
+// fetchOps builds the op vector reading blocks [startBlock,
+// startBlock+nb): ciphertext and metadata, or with withData false the
+// cheapest vector that still answers "which of them were ever written?".
+// raw and metas are destination plumbing for the in-process fast path:
 // fetched bytes land straight in the caller's pooled buffers. Over the
-// byte codec the destinations are ignored and the server allocates as
-// before; parseReadInto handles both outcomes.
-func (p *planner) readOpsInto(startBlock, nb int64, raw, metas []byte) []rados.Op {
-	stat := rados.Op{Kind: rados.OpStat}
+// byte codec the destinations are ignored and the server allocates;
+// parseFetch handles both outcomes.
+func (p *planner) fetchOps(startBlock, nb int64, withData bool, raw, metas []byte) []rados.Op {
+	data, meta, n := p.fetchShape(withData)
+	ops := make([]rados.Op, n)
+	if data >= 0 && data != meta {
+		ops[data] = rados.Op{Kind: rados.OpRead, Off: startBlock * p.blockSize, Len: nb * p.blockSize, Dst: raw}
+	}
 	switch p.layout {
 	case LayoutNone:
-		return []rados.Op{
-			{Kind: rados.OpRead, Off: startBlock * p.blockSize, Len: nb * p.blockSize, Dst: raw},
-			{Kind: rados.OpGetAttr, Key: []byte(allocAttr)},
-			stat,
-		}
-
+		ops[meta] = rados.Op{Kind: rados.OpGetAttr, Key: []byte(allocAttr)}
 	case LayoutUnaligned:
 		stride := p.blockSize + p.metaLen
-		return []rados.Op{{Kind: rados.OpRead, Off: startBlock * stride, Len: nb * stride, Dst: raw}, stat}
-
+		ops[meta] = rados.Op{Kind: rados.OpRead, Off: startBlock * stride, Len: nb * stride, Dst: raw}
 	case LayoutObjectEnd:
-		return []rados.Op{
-			{Kind: rados.OpRead, Off: startBlock * p.blockSize, Len: nb * p.blockSize, Dst: raw},
-			{Kind: rados.OpRead, Off: p.objectSize + startBlock*p.metaLen, Len: nb * p.metaLen, Dst: metas},
-			stat,
-		}
-
+		ops[meta] = rados.Op{Kind: rados.OpRead, Off: p.objectSize + startBlock*p.metaLen, Len: nb * p.metaLen, Dst: metas}
 	case LayoutOMAP:
-		return []rados.Op{
-			{Kind: rados.OpRead, Off: startBlock * p.blockSize, Len: nb * p.blockSize, Dst: raw},
-			{Kind: rados.OpOmapGetRange, Key: omapIVKey(startBlock), Key2: omapIVKey(startBlock + nb)},
-			stat,
-		}
+		ops[meta] = rados.Op{Kind: rados.OpOmapGetRange, Key: omapIVKey(startBlock), Key2: omapIVKey(startBlock + nb)}
 	}
-	panic("core: unknown layout")
+	ops[n-1] = rados.Op{Kind: rados.OpStat}
+	return ops
+}
+
+// readOps is fetchOps with data and no destination plumbing (tests and
+// tools).
+func (p *planner) readOps(startBlock, nb int64) []rados.Op {
+	return p.fetchOps(startBlock, nb, true, nil, nil)
 }
 
 func boolByte(b bool) byte {
@@ -305,88 +346,96 @@ func fillFrom(dst, src []byte) {
 
 // parseRead extracts ciphertext and metadata from read results and
 // reports, per block, whether the block was ever written. It is the
-// allocating convenience wrapper around parseReadInto.
+// allocating convenience wrapper around parseFetch.
 func (p *planner) parseRead(startBlock, nb int64, res []rados.Result) (cipher, metas []byte, present []bool, err error) {
-	cipher = make([]byte, nb*p.blockSize)
-	metas = make([]byte, nb*p.metaLen)
-	pb := make([]byte, nb)
-	if err := p.parseReadInto(startBlock, nb, res, cipher, metas, pb, nil); err != nil {
+	f := objFetch{
+		cipher:  make([]byte, nb*p.blockSize),
+		metas:   make([]byte, nb*p.metaLen),
+		present: make([]byte, nb),
+		epochs:  make([]byte, nb*epochLen),
+	}
+	if err := p.parseFetch(startBlock, nb, true, res, &f); err != nil {
 		return nil, nil, nil, err
 	}
 	present = make([]bool, nb)
-	for i, v := range pb {
+	for i, v := range f.present {
 		present[i] = v != 0
 	}
-	return cipher, metas, present, nil
+	return f.cipher, f.metas, present, nil
 }
 
-// parseReadInto fills caller-provided (typically pooled) buffers with the
-// ciphertext and metadata of blocks [startBlock, startBlock+nb) and marks
-// each block's presence. When epochs is non-nil (nb*epochLen bytes) it
-// also receives each block's key-epoch tag, little-endian — from the
-// metadata tail under the metadata layouts, from the allocation sidecar
-// under LayoutNone. Presence is derived from the read results, never from
-// the data content:
+// parseFetch decodes the results of fetchOps into f: per-block presence
+// and stored metadata always; with withData also the ciphertext and each
+// present block's key-epoch tag. It is the only place the presence rules
+// exist, so a probe and a data fetch cannot disagree:
 //
 //   - object StatusNotFound       → every block absent (sparse read);
 //   - the OpStat logical size     → a block whose stored footprint lies
 //     fully beyond the object's logical size was never written;
+//   - metadata-bearing layouts    → an all-zero metadata slot inside the
+//     logical size marks an interior hole (a real write leaves a random
+//     IV there; the odds of a legitimate all-zero IV are ~2^-128);
 //   - LayoutOMAP                  → a block is present iff its IV key
 //     exists in the object database (exact per-block presence);
 //   - LayoutNone                  → a block is present iff its bit is set
-//     in the allocation sidecar (exact presence; objects written before
-//     the sidecar existed fall back to the logical-size heuristic);
-//   - metadata-bearing layouts    → an all-zero metadata slot inside the
-//     logical size marks an interior hole (a real write leaves a random
-//     IV there; the odds of a legitimate all-zero IV are ~2^-128).
+//     in the allocation sidecar, which also carries its epoch (exact
+//     presence; objects written before the sidecar existed fall back to
+//     the logical-size fence alone, under the implicit epoch 0 —
+//     interior holes then decrypt to deterministic garbage, the
+//     contract dm-crypt gives);
+//   - epoch tag                   → the tail of a present block's slot;
+//     legacy (untagged) slots leave epoch 0, the master-key epoch.
 //
 // Data content is deliberately never sniffed: a written block whose
 // ciphertext happens to be all zeros (plaintext Decrypt(0)) is present
 // and decrypts normally.
-func (p *planner) parseReadInto(startBlock, nb int64, res []rados.Result, cipher, metas, present, epochs []byte) error {
-	clear(present[:nb])
-	if epochs != nil {
-		clear(epochs[:nb*epochLen])
+func (p *planner) parseFetch(startBlock, nb int64, withData bool, res []rados.Result, f *objFetch) error {
+	bs, ml := p.blockSize, p.metaLen
+	metas, present := f.metas[:nb*ml], f.present[:nb]
+	clear(present)
+	var cipher, epochs []byte
+	if withData {
+		cipher, epochs = f.cipher[:nb*bs], f.epochs[:nb*epochLen]
+		clear(epochs)
 	}
-
-	if res[0].Status == rados.StatusNotFound {
+	data, meta, n := p.fetchShape(withData)
+	if len(res) != n {
+		return fmt.Errorf("core: %v fetch returned %d results, want %d", p.layout, len(res), n)
+	}
+	stat, src := res[n-1], res[meta]
+	if stat.Status == rados.StatusNotFound {
 		// The destinations may hold stale pool contents (an in-process
 		// read into Dst never reached the store); make the hole explicit.
-		clear(cipher[:nb*p.blockSize])
-		clear(metas[:nb*p.metaLen])
+		clear(cipher)
+		clear(metas)
 		return nil
 	}
-	if err := res[0].Status.Err(); err != nil {
+	if err := stat.Status.Err(); err != nil {
 		return err
 	}
-	// The object's logical size, from the trailing OpStat.
-	var size int64
-	if st := res[len(res)-1]; st.Status == rados.StatusOK {
-		size = st.Size
-	}
-
-	// copyEpochTails extracts the epoch tag from each present block's
-	// stored metadata slot. Legacy (untagged) slots leave the epoch
-	// buffer zero — epoch 0, the implicit master-key epoch.
-	copyEpochTails := func() {
-		if epochs == nil || !p.epochTagged {
-			return
+	if withData {
+		if err := res[data].Status.Err(); err != nil {
+			return err
 		}
-		for b := int64(0); b < nb; b++ {
-			if present[b] != 0 {
-				copy(epochs[b*epochLen:(b+1)*epochLen], metas[(b+1)*p.metaLen-epochLen:(b+1)*p.metaLen])
-			}
+		if p.layout != LayoutUnaligned {
+			fillFrom(cipher, res[data].Data)
+		}
+	}
+	// A missing sidecar is not an error but the pre-sidecar fallback.
+	if p.layout != LayoutNone {
+		if err := src.Status.Err(); err != nil {
+			return err
 		}
 	}
 
+	// fenceBase + (block+1)*fenceStep is where a block's stored footprint
+	// ends (no fence under LayoutOMAP, whose keys are exact).
+	var fenceBase, fenceStep int64
 	switch p.layout {
 	case LayoutNone:
-		if len(res) != 3 {
-			return fmt.Errorf("core: metadata-free read returned %d results", len(res))
-		}
-		fillFrom(cipher[:nb*p.blockSize], res[0].Data)
-		if res[1].Status == rados.StatusOK {
-			a, err := decodeObjAlloc(res[1].Data, p.objBlocks())
+		fenceStep = bs
+		if src.Status == rados.StatusOK {
+			a, err := decodeObjAlloc(src.Data, p.objBlocks())
 			if err != nil {
 				return err
 			}
@@ -400,264 +449,72 @@ func (p *planner) parseReadInto(startBlock, nb int64, res []rados.Result, cipher
 			}
 			return nil
 		}
-		// No sidecar (object written by a pre-sidecar build): fall back to
-		// the logical-size heuristic — interior holes decrypt to
-		// deterministic garbage, the contract dm-crypt gives.
-		for b := int64(0); b < nb; b++ {
-			present[b] = boolByte((startBlock+b+1)*p.blockSize <= size)
-		}
-		return nil
 
 	case LayoutUnaligned:
-		// The raw read is stride-interleaved and lands in its own buffer;
-		// cipher and metas are always de-strided copies.
-		clear(cipher[:nb*p.blockSize])
-		clear(metas[:nb*p.metaLen])
-		stride := p.blockSize + p.metaLen
-		data := res[0].Data
-		for b := int64(0); b < nb; b++ {
-			if (b+1)*stride <= int64(len(data)) {
-				copy(cipher[b*p.blockSize:(b+1)*p.blockSize], data[b*stride:b*stride+p.blockSize])
-				copy(metas[b*p.metaLen:(b+1)*p.metaLen], data[b*stride+p.blockSize:(b+1)*stride])
+		// The interleaved stream lands in its own buffer; cipher and
+		// metas are always de-strided copies.
+		clear(cipher)
+		clear(metas)
+		stride := bs + ml
+		fenceStep = stride
+		for b := int64(0); (b+1)*stride <= int64(len(src.Data)) && b < nb; b++ {
+			if withData {
+				copy(cipher[b*bs:(b+1)*bs], src.Data[b*stride:])
 			}
-			present[b] = boolByte((startBlock+b+1)*stride <= size &&
-				(p.metaLen == 0 || !allZero(metas[b*p.metaLen:(b+1)*p.metaLen])))
+			copy(metas[b*ml:(b+1)*ml], src.Data[b*stride+bs:])
 		}
-		copyEpochTails()
-		return nil
 
 	case LayoutObjectEnd:
-		if len(res) != 3 {
-			return fmt.Errorf("core: object-end read returned %d results", len(res))
-		}
-		if err := res[1].Status.Err(); err != nil {
-			return err
-		}
-		fillFrom(cipher[:nb*p.blockSize], res[0].Data)
-		fillFrom(metas[:nb*p.metaLen], res[1].Data)
-		for b := int64(0); b < nb; b++ {
-			present[b] = boolByte(p.objectSize+(startBlock+b+1)*p.metaLen <= size &&
-				!allZero(metas[b*p.metaLen:(b+1)*p.metaLen]))
-		}
-		copyEpochTails()
-		return nil
+		fillFrom(metas, src.Data)
+		fenceBase, fenceStep = p.objectSize, ml
 
 	case LayoutOMAP:
-		if len(res) != 3 {
-			return fmt.Errorf("core: omap read returned %d results", len(res))
-		}
-		if err := res[1].Status.Err(); err != nil {
-			return err
-		}
-		fillFrom(cipher[:nb*p.blockSize], res[0].Data)
-		clear(metas[:nb*p.metaLen])
-		for _, pair := range res[1].Pairs {
-			if len(pair.Key) != len(omapIVPrefix)+8 || !bytes.HasPrefix(pair.Key, []byte(omapIVPrefix)) {
-				continue
-			}
-			block := int64(binary.BigEndian.Uint64(pair.Key[len(omapIVPrefix):]))
-			if block < startBlock || block >= startBlock+nb {
-				continue
-			}
-			copy(metas[(block-startBlock)*p.metaLen:], pair.Value)
-			present[block-startBlock] = 1
-		}
-		copyEpochTails()
-		return nil
-	}
-	panic("core: unknown layout")
-}
-
-// probeOps builds the cheapest op vector that can answer "which of
-// blocks [startBlock, startBlock+nb) were ever written?" — the presence
-// probe behind clone read-through and copyup, where the caller wants the
-// answer without paying for the ciphertext. Object-end and OMAP layouts
-// fetch only their metadata region; the metadata-free configuration
-// fetches only the allocation sidecar; the unaligned layout has no
-// metadata region of its own to address, so it must fetch its
-// interleaved stream (raw, rawReadLen bytes — the one layout where a
-// probe costs a data read, another point against Fig. 2a). metas
-// receives the object-end metadata read destination; both buffers may be
-// nil over the byte codec. The result shape is always [probe, stat];
-// parseProbe decodes it.
-func (p *planner) probeOps(startBlock, nb int64, raw, metas []byte) []rados.Op {
-	stat := rados.Op{Kind: rados.OpStat}
-	switch p.layout {
-	case LayoutNone:
-		return []rados.Op{{Kind: rados.OpGetAttr, Key: []byte(allocAttr)}, stat}
-	case LayoutUnaligned:
-		stride := p.blockSize + p.metaLen
-		return []rados.Op{{Kind: rados.OpRead, Off: startBlock * stride, Len: nb * stride, Dst: raw}, stat}
-	case LayoutObjectEnd:
-		return []rados.Op{
-			{Kind: rados.OpRead, Off: p.objectSize + startBlock*p.metaLen, Len: nb * p.metaLen, Dst: metas},
-			stat,
-		}
-	case LayoutOMAP:
-		return []rados.Op{
-			{Kind: rados.OpOmapGetRange, Key: omapIVKey(startBlock), Key2: omapIVKey(startBlock + nb)},
-			stat,
-		}
-	}
-	panic("core: unknown layout")
-}
-
-// parseProbe decodes a probeOps result into per-block presence (and,
-// when epochs is non-nil, key-epoch tags), applying exactly the presence
-// rules of parseReadInto. metas is nb*metaLen scratch for the layouts
-// that carry metadata (it receives the decoded slots).
-func (p *planner) parseProbe(startBlock, nb int64, res []rados.Result, metas, present, epochs []byte) error {
-	clear(present[:nb])
-	if epochs != nil {
-		clear(epochs[:nb*epochLen])
-	}
-	st := res[1]
-	if st.Status == rados.StatusNotFound {
-		return nil // object absent: every block a hole
-	}
-	if err := st.Status.Err(); err != nil {
-		return err
-	}
-	size := st.Size
-
-	copyEpochTails := func() {
-		if epochs == nil || !p.epochTagged {
-			return
-		}
-		for b := int64(0); b < nb; b++ {
-			if present[b] != 0 {
-				copy(epochs[b*epochLen:(b+1)*epochLen], metas[(b+1)*p.metaLen-epochLen:(b+1)*p.metaLen])
-			}
-		}
-	}
-
-	switch p.layout {
-	case LayoutNone:
-		if res[0].Status == rados.StatusOK {
-			a, err := decodeObjAlloc(res[0].Data, p.objBlocks())
-			if err != nil {
-				return err
-			}
-			for b := int64(0); b < nb; b++ {
-				if a.present(startBlock + b) {
-					present[b] = 1
-					if epochs != nil {
-						binary.LittleEndian.PutUint32(epochs[b*epochLen:], a.epoch(startBlock+b))
-					}
-				}
-			}
-			return nil
-		}
-		// Pre-sidecar object: logical-size heuristic, implicit epoch 0.
-		for b := int64(0); b < nb; b++ {
-			present[b] = boolByte((startBlock+b+1)*p.blockSize <= size)
-		}
-		return nil
-
-	case LayoutUnaligned:
-		if res[0].Status == rados.StatusNotFound {
-			return nil
-		}
-		if err := res[0].Status.Err(); err != nil {
-			return err
-		}
-		clear(metas[:nb*p.metaLen])
-		stride := p.blockSize + p.metaLen
-		data := res[0].Data
-		for b := int64(0); b < nb; b++ {
-			if (b+1)*stride <= int64(len(data)) {
-				copy(metas[b*p.metaLen:(b+1)*p.metaLen], data[b*stride+p.blockSize:(b+1)*stride])
-			}
-			present[b] = boolByte((startBlock+b+1)*stride <= size &&
-				(p.metaLen == 0 || !allZero(metas[b*p.metaLen:(b+1)*p.metaLen])))
-		}
-		copyEpochTails()
-		return nil
-
-	case LayoutObjectEnd:
-		if res[0].Status == rados.StatusNotFound {
-			return nil
-		}
-		if err := res[0].Status.Err(); err != nil {
-			return err
-		}
-		fillFrom(metas[:nb*p.metaLen], res[0].Data)
-		for b := int64(0); b < nb; b++ {
-			present[b] = boolByte(p.objectSize+(startBlock+b+1)*p.metaLen <= size &&
-				!allZero(metas[b*p.metaLen:(b+1)*p.metaLen]))
-		}
-		copyEpochTails()
-		return nil
-
-	case LayoutOMAP:
-		if res[0].Status == rados.StatusNotFound {
-			return nil
-		}
-		if err := res[0].Status.Err(); err != nil {
-			return err
-		}
-		clear(metas[:nb*p.metaLen])
-		for _, pair := range res[0].Pairs {
+		clear(metas)
+		for _, pair := range src.Pairs {
 			if len(pair.Key) != omapKeyLen || !bytes.HasPrefix(pair.Key, []byte(omapIVPrefix)) {
 				continue
 			}
-			block := int64(binary.BigEndian.Uint64(pair.Key[len(omapIVPrefix):]))
-			if block < startBlock || block >= startBlock+nb {
+			block := int64(binary.BigEndian.Uint64(pair.Key[len(omapIVPrefix):])) - startBlock
+			if block < 0 || block >= nb {
 				continue
 			}
-			copy(metas[(block-startBlock)*p.metaLen:], pair.Value)
-			present[block-startBlock] = 1
+			copy(metas[block*ml:(block+1)*ml], pair.Value)
+			present[block] = 1
 		}
-		copyEpochTails()
-		return nil
 	}
-	panic("core: unknown layout")
+
+	for b := int64(0); b < nb; b++ {
+		if fenceStep > 0 {
+			present[b] = boolByte(fenceBase+(startBlock+b+1)*fenceStep <= stat.Size &&
+				!(ml > 0 && allZero(metas[b*ml:(b+1)*ml])))
+		}
+		if present[b] != 0 && epochs != nil && p.epochTagged {
+			copy(epochs[b*epochLen:(b+1)*epochLen], metas[(b+1)*ml-epochLen:(b+1)*ml])
+		}
+	}
+	return nil
 }
 
-// discardOps builds the crypto-erase op vector for blocks
-// [startBlock, startBlock+nb): the ciphertext region is overwritten with
-// zeros and the per-block metadata punched (zeroed in place, or the OMAP
-// keys deleted), so every presence rule reports a hole afterwards and no
-// retained key can recover the data. Returned buffers come from the
-// scratch pool; callers release() once every Operate has returned.
-// LayoutNone relies on the allocation sidecar for presence — the caller
-// appends the updated sidecar attribute to the same transaction.
-func (p *planner) discardOps(startBlock, nb int64) (ops []rados.Op, release func()) {
-	var bufs [][]byte
-	zero := func(n int64) []byte {
-		b := getZeroBuf(int(n))
-		bufs = append(bufs, b)
-		return b
-	}
-	release = func() {
-		for _, b := range bufs {
-			putBuf(b)
+// discardPlan stages the crypto-erase of blocks [startBlock,
+// startBlock+nb) as a write plan of zeros: the ciphertext region is
+// overwritten and the per-block metadata punched (zeroed in place, or
+// the OMAP keys deleted), so every presence rule reports a hole
+// afterwards and no retained key can recover the data. The caller
+// release()s the plan once every Operate has returned. LayoutNone relies
+// on the allocation sidecar for presence — the caller appends the updated
+// sidecar attribute to the same transaction.
+func (p *planner) discardPlan(startBlock, nb int64) (*writePlan, []rados.Op) {
+	w := p.newWritePlan(startBlock, nb)
+	clear(w.wire)
+	clear(w.meta)
+	ops := w.ops()
+	if p.layout == LayoutOMAP {
+		ops[1].Kind = rados.OpOmapDel
+		for i := range ops[1].Pairs {
+			ops[1].Pairs[i].Value = nil
 		}
 	}
-	switch p.layout {
-	case LayoutNone:
-		ops = []rados.Op{{Kind: rados.OpWrite, Off: startBlock * p.blockSize, Data: zero(nb * p.blockSize)}}
-	case LayoutUnaligned:
-		stride := p.blockSize + p.metaLen
-		ops = []rados.Op{{Kind: rados.OpWrite, Off: startBlock * stride, Data: zero(nb * stride)}}
-	case LayoutObjectEnd:
-		ops = []rados.Op{
-			{Kind: rados.OpWrite, Off: startBlock * p.blockSize, Data: zero(nb * p.blockSize)},
-			{Kind: rados.OpWrite, Off: p.objectSize + startBlock*p.metaLen, Data: zero(nb * p.metaLen)},
-		}
-	case LayoutOMAP:
-		pairs := make([]rados.Pair, nb)
-		for b := int64(0); b < nb; b++ {
-			pairs[b] = rados.Pair{Key: omapIVKey(startBlock + b)}
-		}
-		ops = []rados.Op{
-			{Kind: rados.OpWrite, Off: startBlock * p.blockSize, Data: zero(nb * p.blockSize)},
-			{Kind: rados.OpOmapDel, Pairs: pairs},
-		}
-	default:
-		panic("core: unknown layout")
-	}
-	return ops, release
+	return w, ops
 }
 
 // SectorCount is the §3.3 analytic model: the minimum number of physical

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -195,5 +198,101 @@ func TestOmapIVKeyOrdering(t *testing.T) {
 			t.Fatalf("ordering broken at block %d", b)
 		}
 		prev = k
+	}
+}
+
+// renderOps prints an op vector field by field — kind, Off, Len,
+// len(Data), keys, pair keys with value lengths, and which caller buffer
+// a read lands in — one string per op (one result per op: the vector's
+// length is the result arity).
+func renderOps(ops []rados.Op, raw, metas []byte) []string {
+	out := make([]string, len(ops))
+	for i, op := range ops {
+		s := fmt.Sprintf("%v off=%d len=%d data=%d", op.Kind, op.Off, op.Len, len(op.Data))
+		if op.Key != nil {
+			s += fmt.Sprintf(" key=%q", op.Key)
+		}
+		if op.Key2 != nil {
+			s += fmt.Sprintf(" key2=%q", op.Key2)
+		}
+		for _, pr := range op.Pairs {
+			s += fmt.Sprintf(" %q:%d", pr.Key, len(pr.Value))
+		}
+		switch {
+		case sameBacking(op.Dst, raw):
+			s += " dst=raw"
+		case sameBacking(op.Dst, metas):
+			s += " dst=metas"
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// TestOpVectorsGolden pins the wire: the literal op vectors every layout
+// issued for a read, a presence probe, a write plan and a discard of
+// blocks [3, 8) before the fetch builders were unified (4 KiB blocks,
+// 4 MiB objects, 16-byte IV + epoch tag). A changed vector changes what
+// every deployed image's OSDs are asked, and the benchmark's
+// requests-per-op and device-bytes metrics with it.
+func TestOpVectorsGolden(t *testing.T) {
+	const (
+		ivKeys = ` "iv.\x00\x00\x00\x00\x00\x00\x00\x03":20 "iv.\x00\x00\x00\x00\x00\x00\x00\x04":20` +
+			` "iv.\x00\x00\x00\x00\x00\x00\x00\x05":20 "iv.\x00\x00\x00\x00\x00\x00\x00\x06":20` +
+			` "iv.\x00\x00\x00\x00\x00\x00\x00\a":20`
+		ivRange = ` key="iv.\x00\x00\x00\x00\x00\x00\x00\x03" key2="iv.\x00\x00\x00\x00\x00\x00\x00\b"`
+	)
+	golden := []struct {
+		layout                      Layout
+		metaLen                     int64
+		read, probe, write, discard []string
+	}{
+		{LayoutNone, 0,
+			[]string{"read off=12288 len=20480 data=0 dst=raw", `getattr off=0 len=0 data=0 key="core.alloc"`, "stat off=0 len=0 data=0"},
+			[]string{`getattr off=0 len=0 data=0 key="core.alloc"`, "stat off=0 len=0 data=0"},
+			[]string{"write off=12288 len=0 data=20480"},
+			[]string{"write off=12288 len=0 data=20480"}},
+		{LayoutUnaligned, 20,
+			[]string{"read off=12348 len=20580 data=0 dst=raw", "stat off=0 len=0 data=0"},
+			[]string{"read off=12348 len=20580 data=0 dst=raw", "stat off=0 len=0 data=0"},
+			[]string{"write off=12348 len=0 data=20580"},
+			[]string{"write off=12348 len=0 data=20580"}},
+		{LayoutObjectEnd, 20,
+			[]string{"read off=12288 len=20480 data=0 dst=raw", "read off=4194364 len=100 data=0 dst=metas", "stat off=0 len=0 data=0"},
+			[]string{"read off=4194364 len=100 data=0 dst=metas", "stat off=0 len=0 data=0"},
+			[]string{"write off=12288 len=0 data=20480", "write off=4194364 len=0 data=100"},
+			[]string{"write off=12288 len=0 data=20480", "write off=4194364 len=0 data=100"}},
+		{LayoutOMAP, 20,
+			[]string{"read off=12288 len=20480 data=0 dst=raw", "omap-get-range off=0 len=0 data=0" + ivRange, "stat off=0 len=0 data=0"},
+			[]string{"omap-get-range off=0 len=0 data=0" + ivRange, "stat off=0 len=0 data=0"},
+			[]string{"write off=12288 len=0 data=20480", "omap-set off=0 len=0 data=0" + ivKeys},
+			[]string{"write off=12288 len=0 data=20480", "omap-del off=0 len=0 data=0" + strings.ReplaceAll(ivKeys, ":20", ":0")}},
+	}
+	for _, g := range golden {
+		p := &planner{layout: g.layout, blockSize: 4096, metaLen: g.metaLen, objectSize: 4 << 20,
+			trackAlloc: g.metaLen == 0, epochTagged: g.metaLen > 0}
+		raw, metas := make([]byte, 5*(4096+g.metaLen)), make([]byte, 5*max(g.metaLen, 1))
+		w := p.newWritePlan(3, 5)
+		d, discard := p.discardPlan(3, 5)
+		for _, c := range []struct {
+			name      string
+			got, want []string
+		}{
+			{"read", renderOps(p.fetchOps(3, 5, true, raw, metas), raw, metas), g.read},
+			{"probe", renderOps(p.fetchOps(3, 5, false, raw, metas), raw, metas), g.probe},
+			{"write", renderOps(w.ops(), nil, nil), g.write},
+			{"discard", renderOps(discard, nil, nil), g.discard},
+		} {
+			if !slices.Equal(c.got, c.want) {
+				t.Errorf("%v %s ops:\n got %q\nwant %q", g.layout, c.name, c.got, c.want)
+			}
+		}
+		for _, op := range discard {
+			if !allZero(op.Data) {
+				t.Errorf("%v discard writes non-zero bytes", g.layout)
+			}
+		}
+		w.release()
+		d.release()
 	}
 }

@@ -4,7 +4,10 @@ package core
 // half — every present block of one striping object is fetched and
 // opened under its recorded epoch, plaintext discarded — and
 // RepairObject is the recovery half: re-fetch damaged blocks from each
-// replica in turn and re-seal the first copy that still opens.
+// replica in turn and re-seal the first copy that still opens. Both are
+// object transactions (core.go): they supply a block selector and a
+// plaintext source; the fetch, the presence rules, the open and the
+// re-seal/commit are the kernel's.
 //
 // What verification can prove depends on the scheme, which is the
 // paper's integrity argument restated as an operational property: only
@@ -15,12 +18,11 @@ package core
 // not content integrity.
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
-	"repro/internal/rados"
 	"repro/internal/vtime"
 )
 
@@ -40,113 +42,61 @@ type BadBlock struct {
 // writes either land before the read or after it; either way every
 // checked block is a consistent committed state.
 func (e *EncryptedImage) VerifyObject(at vtime.Time, objIdx int64) (checked int, bad []BadBlock, end vtime.Time, err error) {
-	bs := e.opts.BlockSize
-	nb := e.plan.objBlocks()
-	metaLen := e.plan.metaLen
-	sml := e.schemeMetaLen()
-	if objIdx < 0 || objIdx >= e.ObjectCount() {
-		return 0, nil, at, fmt.Errorf("core: verify object %d out of range", objIdx)
+	if err := e.checkObject("verify", objIdx); err != nil {
+		return 0, nil, at, err
 	}
-
+	bs, nb := e.opts.BlockSize, e.plan.objBlocks()
 	lk := e.locks.of(objIdx)
 	lk.Lock()
 	defer lk.Unlock()
 
-	cipher := getBuf(int(nb * bs))
-	metas := getBuf(int(nb * metaLen))
-	present := getBuf(int(nb))
-	epochs := getBuf(int(nb * epochLen))
-	raw := cipher
-	var rawStride []byte
-	if e.plan.layout == LayoutUnaligned {
-		rawStride = getBuf(int(e.plan.rawReadLen(nb)))
-		raw = rawStride
-	}
-	release := func() {
-		putBuf(cipher)
-		putBuf(metas)
-		putBuf(present)
-		putBuf(epochs)
-		putBuf(rawStride)
-	}
-	res, end, err := e.img.Operate(at, objIdx, 0, e.plan.readOpsInto(0, nb, raw, metas))
+	f, end, err := e.fetch(at, objIdx, 0, 0, nb, true, primaryOSD)
 	if err != nil {
-		release()
 		return 0, nil, at, err
 	}
-	if err := e.plan.parseReadInto(0, nb, res, cipher, metas, present, epochs); err != nil {
-		release()
-		return 0, nil, at, err
-	}
+	defer f.release()
 
 	// Open every present block into its own scratch slot; the plaintext
-	// is discarded — only the verdict matters.
+	// is discarded — only the verdict matters, so the visit never fails.
 	scratch := getBuf(int(nb * bs))
+	defer putBuf(scratch)
 	var mu sync.Mutex
-	ferr := forBlocks(e.workers, nb, func(lo, hi int64) error {
+	_ = forBlocks(e.workers, nb, func(lo, hi int64) error {
 		for b := lo; b < hi; b++ {
-			if present[b] == 0 {
+			if f.present[b] == 0 {
 				continue
 			}
-			epoch := binary.LittleEndian.Uint32(epochs[b*epochLen:])
-			var meta []byte
-			if metaLen > 0 {
-				meta = metas[b*metaLen : b*metaLen+sml]
-			}
-			fail := func(err error) {
+			if err := e.openBlock(&f, b, uint64(objIdx*nb+b), scratch[b*bs:(b+1)*bs]); err != nil {
 				mu.Lock()
 				bad = append(bad, BadBlock{Block: b, Err: err})
 				mu.Unlock()
 			}
-			opener, err := e.ring.cryptorFor(epoch)
-			if err != nil {
-				fail(err)
-				continue
-			}
-			blockIdx := uint64(objIdx*nb + b)
-			if err := opener.open(scratch[b*bs:(b+1)*bs], cipher[b*bs:(b+1)*bs], blockIdx, meta); err != nil {
-				fail(err)
-			}
 		}
 		return nil
 	})
-	putBuf(scratch)
-	for b := int64(0); b < nb; b++ {
-		if present[b] != 0 {
-			checked++
-		}
-	}
-	release()
-	if ferr != nil {
-		return 0, nil, at, ferr
+	for _, v := range f.present {
+		checked += int(v)
 	}
 	sort.Slice(bad, func(i, j int) bool { return bad[i].Block < bad[j].Block })
-	end = e.chargeCrypto(end, int64(checked)*bs)
-	return checked, bad, end, nil
+	return checked, bad, e.chargeCrypto(end, int64(checked)*bs), nil
 }
 
 // RepairObject recovers the given blocks of one striping object from
 // replica copies: each replica (primary first — a re-read beats
-// transient transfer corruption) is fetched directly with OperateOn
-// until a copy opens cleanly, and the recovered plaintext is re-sealed
-// under the current epoch through the normal replicated write path,
-// which overwrites the damaged copy everywhere. Blocks with no intact
-// copy anywhere (or sealed under a destroyed epoch) are left as they
-// are. It returns the number of blocks repaired.
+// transient transfer corruption) is fetched directly, one OSD at a
+// time, until a copy opens cleanly, and the recovered plaintext is
+// re-sealed under the current epoch through the normal replicated write
+// path, which overwrites the damaged copy everywhere. Blocks with no
+// intact copy anywhere (or sealed under a destroyed epoch) are left as
+// they are. It returns the number of blocks repaired.
 func (e *EncryptedImage) RepairObject(at vtime.Time, objIdx int64, blocks []int64) (int, vtime.Time, error) {
 	if len(blocks) == 0 {
 		return 0, at, nil
 	}
-	bs := e.opts.BlockSize
-	nb := e.plan.objBlocks()
-	metaLen := e.plan.metaLen
-	sml := e.schemeMetaLen()
-	target := e.ring.currentEpoch()
-	sealer, err := e.ring.cryptorFor(target)
-	if err != nil {
+	if err := e.checkObject("repair", objIdx); err != nil {
 		return 0, at, err
 	}
-
+	bs, nb := e.opts.BlockSize, e.plan.objBlocks()
 	want := make([]int64, 0, len(blocks))
 	for _, b := range blocks {
 		if b < 0 || b >= nb {
@@ -159,132 +109,48 @@ func (e *EncryptedImage) RepairObject(at vtime.Time, objIdx int64, blocks []int6
 	lk := e.locks.of(objIdx)
 	lk.Lock()
 	defer lk.Unlock()
-
-	cipher := getBuf(int(nb * bs))
-	metas := getBuf(int(nb * metaLen))
-	present := getBuf(int(nb))
-	epochs := getBuf(int(nb * epochLen))
-	raw := cipher
-	var rawStride []byte
-	if e.plan.layout == LayoutUnaligned {
-		rawStride = getBuf(int(e.plan.rawReadLen(nb)))
-		raw = rawStride
-	}
-	plain := getBuf(len(want) * int(bs))
-	release := func() {
-		putBuf(cipher)
-		putBuf(metas)
-		putBuf(present)
-		putBuf(epochs)
-		putBuf(rawStride)
-		putBuf(plain)
-	}
+	epoch := e.ring.currentEpoch()
 
 	// Hunt for intact copies, one replica at a time. recovered[i] marks
 	// want[i]'s plaintext as present in plain.
+	plain := getBuf(len(want) * int(bs))
+	defer putBuf(plain)
 	recovered := make([]bool, len(want))
 	missing := len(want)
 	for _, osd := range e.img.Replicas(objIdx) {
 		if missing == 0 {
 			break
 		}
-		res, end2, err := e.img.OperateOn(at, osd, objIdx, 0, e.plan.readOpsInto(0, nb, raw, metas))
+		f, end, err := e.fetch(at, objIdx, 0, 0, nb, true, osd)
 		if err != nil {
-			continue // this replica is unreachable; try the next
+			continue // this replica is unreachable or unreadable; try the next
 		}
-		at = end2
-		if err := e.plan.parseReadInto(0, nb, res, cipher, metas, present, epochs); err != nil {
-			continue
-		}
+		// Every open attempted on this copy costs a block of cipher work,
+		// failed ones (a GCM tag mismatch) included; only a dead epoch is
+		// refused before any.
+		var attempted int64
 		for i, b := range want {
-			if recovered[i] || present[b] == 0 {
+			if recovered[i] || f.present[b] == 0 {
 				continue
 			}
-			epoch := binary.LittleEndian.Uint32(epochs[b*epochLen:])
-			opener, err := e.ring.cryptorFor(epoch)
-			if err != nil {
-				continue
+			err := e.openBlock(&f, b, uint64(objIdx*nb+b), plain[int64(i)*bs:int64(i+1)*bs])
+			if !errors.Is(err, ErrKeyErased) {
+				attempted++
 			}
-			var meta []byte
-			if metaLen > 0 {
-				meta = metas[b*metaLen : b*metaLen+sml]
-			}
-			blockIdx := uint64(objIdx*nb + b)
-			if opener.open(plain[i*int(bs):(i+1)*int(bs)], cipher[b*bs:(b+1)*bs], blockIdx, meta) == nil {
+			if err == nil {
 				recovered[i] = true
 				missing--
 			}
 		}
-		at = e.chargeCrypto(at, int64(len(want)-missing)*bs)
+		f.release()
+		at = e.chargeCrypto(end, attempted*bs)
 	}
 
-	// Re-seal what was recovered under the current epoch and commit it
-	// through the normal replicated path.
-	var fixed []int64
-	idx := make(map[int64]int, len(want))
-	for i, b := range want {
-		if recovered[i] {
-			fixed = append(fixed, b)
-			idx[b] = i
-		}
-	}
+	fixed := compactKept(want, recovered, plain, bs)
 	if len(fixed) == 0 {
-		release()
 		return 0, at, nil
 	}
-	plans, slots, err := e.stagePlans(fixed)
-	if err != nil {
-		release()
-		return 0, at, err
-	}
-	releasePlans := func() {
-		for _, w := range plans {
-			w.release()
-		}
-	}
-	serr := forBlocks(e.workers, int64(len(fixed)), func(lo, hi int64) error {
-		for k := lo; k < hi; k++ {
-			b := fixed[k]
-			blockIdx := uint64(objIdx*nb + b)
-			src := plain[idx[b]*int(bs) : (idx[b]+1)*int(bs)]
-			meta := slots[k].plan.metaDst(slots[k].local)
-			if int64(len(meta)) > sml { // epoch-tagged slot
-				binary.LittleEndian.PutUint32(meta[sml:], target)
-				meta = meta[:sml]
-			}
-			if err := sealer.seal(slots[k].plan.cipherDst(slots[k].local), src, blockIdx, meta); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	release()
-	if serr != nil {
-		releasePlans()
-		return 0, at, serr
-	}
-	at = e.chargeCrypto(at, int64(len(fixed))*bs)
-
-	var ops []rados.Op
-	for _, w := range plans {
-		ops = append(ops, w.ops()...)
-	}
-	dirtyAlloc := false
-	if e.plan.trackAlloc {
-		a, end2, err := e.loadAlloc(at, objIdx)
-		if err != nil {
-			releasePlans()
-			return 0, at, err
-		}
-		at = end2
-		for _, b := range fixed {
-			a.set(b, target)
-		}
-		dirtyAlloc = true
-		ops = append(ops, rados.Op{Kind: rados.OpSetAttr, Key: []byte(allocAttr), Data: a.encode()})
-	}
-	end, err := e.commitObjectTxn(at, objIdx, ops, dirtyAlloc)
-	releasePlans()
+	end, err := e.resealObject(at, objIdx, fixed, plain, epoch)
 	if err != nil {
 		return 0, at, err
 	}
