@@ -11,7 +11,7 @@
 //   - calling back into an image entry point (ReadAt, WriteAt,
 //     CopyupObject, RekeyObject, ...) while a table lock is held — the
 //     entry point re-acquires the stripe for its own object;
-//   - blocking wire calls (Operate, OperateHeader, Call, CallV) while
+//   - blocking wire calls (Operate, OperateHeader, Call, CallTyped) while
 //     holding a plain sync.Mutex/RWMutex, which are used here for
 //     metadata maps and must stay I/O-free;
 //   - time.Sleep while holding any lock.
@@ -53,7 +53,7 @@ var blockingOps = map[string]bool{
 	"Operate":       true,
 	"OperateHeader": true,
 	"Call":          true,
-	"CallV":         true,
+	"CallTyped":     true,
 }
 
 var blockingPkgs = map[string]bool{"rados": true, "msgr": true, "rbd": true}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/rbd"
-	"repro/internal/telemetry/attr"
 )
 
 func TestForBlocksCoversRangeOnce(t *testing.T) {
@@ -305,41 +304,6 @@ func BenchmarkDatapathOpen(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkDatapathAttr measures the always-on attribution plane's
-// overhead on the full encrypted datapath: identical WriteAt+ReadAt
-// loops with recording enabled vs disabled. The benchmark gate compares
-// the sub-benchmarks — allocs/op must be identical between on and off,
-// pinning attribution at zero allocations per op across every feeding
-// layer (client, messenger, OSD serve, crypto charge, device command).
-func BenchmarkDatapathAttr(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"on", true}, {"off", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := newEncrypted(b, SchemeXTSRand, LayoutObjectEnd)
-			io := make([]byte, 64<<10)
-			mrand.New(mrand.NewSource(5)).Read(io)
-			if _, err := e.WriteAt(0, io, 0); err != nil {
-				b.Fatal(err)
-			}
-			attr.SetEnabled(mode.on)
-			defer attr.SetEnabled(true)
-			b.SetBytes(int64(len(io)) * 2)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.WriteAt(0, io, 0); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := e.ReadAt(0, io, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -1,12 +1,14 @@
 // Package msgr is the messenger between RADOS clients and OSDs: framed
 // request/response with virtual timestamps carried alongside payloads.
 //
-// Two transports share one interface. The in-process transport models a
-// network path the way the paper's testbed behaves: a per-stream link
-// (the ~13 Gb/s iperf figure from §3.2) feeding a shared NIC (100 Gb/s),
-// plus propagation latency, all charged to vtime resources. The TCP
-// transport runs the identical byte protocol over real sockets for
-// integration tests, proving the stack is not coupled to the simulation.
+// There is one transport, in-process, and it models a network path the
+// way the paper's testbed behaves: a per-stream link (the ~13 Gb/s iperf
+// figure from §3.2) feeding a shared NIC (100 Gb/s), plus propagation
+// latency, all charged to vtime resources. A request crosses it either
+// as a typed message (CallTyped — what every production caller uses) or
+// as bytes (Call — the loopback that keeps the byte codec honest as the
+// reference encoding); both run the same admit/complete halves, so cost
+// model, fault injection and accounting exist once.
 package msgr
 
 import (
@@ -64,12 +66,6 @@ type Conn interface {
 	// Call sends a request at virtual time at and returns the reply and
 	// its virtual delivery time.
 	Call(at vtime.Time, req []byte) (resp []byte, end vtime.Time, err error)
-	// CallV is the scatter-gather form of Call: the request is the
-	// concatenation of segs, transmitted without the caller having to
-	// join them. The cost model charges the summed segment length, and
-	// transports forward the segments as-is where they can (vectored
-	// socket writes on TCP; typed servers never see bytes at all).
-	CallV(at vtime.Time, segs [][]byte) (resp []byte, end vtime.Time, err error)
 	Close() error
 }
 
@@ -102,8 +98,8 @@ type AttrCarrier interface{ AttrOp() int }
 var ErrClosed = errors.New("msgr: connection closed")
 
 // JoinSegs flattens a scatter-gather segment list into one contiguous
-// buffer — the compatibility shim between the vectored and flat wire
-// forms (byte-codec handlers reached through CallV, codec oracles).
+// buffer — how a MarshalV encoding becomes the flat form Call carries
+// and the codec oracles compare against.
 func JoinSegs(segs [][]byte) []byte {
 	total := 0
 	for _, s := range segs {
@@ -114,14 +110,6 @@ func JoinSegs(segs [][]byte) []byte {
 		out = append(out, s...)
 	}
 	return out
-}
-
-func segsLen(segs [][]byte) int {
-	n := 0
-	for _, s := range segs {
-		n += len(s)
-	}
-	return n
 }
 
 // LinkCost models one direction of a network path.
@@ -274,41 +262,73 @@ func (c *inProcConn) checkOpen() error {
 	return nil
 }
 
-func (c *inProcConn) Call(at vtime.Time, req []byte) ([]byte, vtime.Time, error) {
+// exchange is what differs between the two wire forms of one round trip:
+// which counters it feeds, the attribution class and span it reports to
+// (byte-codec messages carry neither — class "other", nil span), and the
+// request's wire size. Passed by value, so it costs the call no allocation.
+type exchange struct {
+	calls, bytes *telemetry.Counter
+	cls          int
+	sp           *telemetry.Span
+	reqLen       int
+}
+
+// admit is the request half of a round trip: refuse a closed endpoint,
+// count the call, charge the request's transmission and apply the faults
+// that strike before the handler runs. On success the call holds one
+// mOutstanding slot, which the caller releases when it returns.
+func (c *inProcConn) admit(at vtime.Time, x exchange) (arrive vtime.Time, err error) {
 	if err := c.checkOpen(); err != nil {
-		return nil, at, err
+		return at, err
 	}
-	mCallsBytes.Inc()
+	x.calls.Inc()
 	mOutstanding.Add(1)
-	defer mOutstanding.Add(-1)
-	arrive := c.reqCost.transmit(at, c.reqLink, len(req))
+	arrive = c.reqCost.transmit(at, c.reqLink, x.reqLen)
+	x.sp.Hop("msgr:req", at, arrive)
 	if err := c.srv.injectBefore(arrive); err != nil {
+		mOutstanding.Add(-1)
+		return arrive, err
+	}
+	return arrive, nil
+}
+
+// complete is the reply half: the faults that strike a reply, the
+// response's transmission (twice when duplicated), byte accounting and
+// the wire phase of the attribution histograms.
+func (c *inProcConn) complete(at, arrive, done vtime.Time, respLen int, x exchange) (end vtime.Time, err error) {
+	dropped, done, dup := c.srv.injectAfter(done)
+	if dropped {
+		return done, fmt.Errorf("msgr: %w", fault.ErrReplyDropped)
+	}
+	end = c.respCost.transmit(done, c.respLink, respLen)
+	if dup {
+		// The duplicate occupies the wire again; the caller never sees it.
+		end = c.respCost.transmit(end, c.respLink, respLen)
+	}
+	x.sp.Hop("msgr:resp", done, end)
+	x.bytes.Add(int64(x.reqLen + respLen))
+	attr.Observe(x.cls, attr.PhaseWire, arrive.Sub(at)+end.Sub(done))
+	return end, nil
+}
+
+// Call carries the request as bytes to the server's byte handler — the
+// loopback the byte codec is exercised through.
+func (c *inProcConn) Call(at vtime.Time, req []byte) ([]byte, vtime.Time, error) {
+	x := exchange{calls: mCallsBytes, bytes: mBytesBytes, cls: attr.OpOther, reqLen: len(req)}
+	arrive, err := c.admit(at, x)
+	if err != nil {
 		return nil, arrive, err
 	}
+	defer mOutstanding.Add(-1)
 	resp, done, err := c.srv.handler(arrive, req)
 	if err != nil {
 		return nil, arrive, fmt.Errorf("msgr: remote: %w", err)
 	}
-	dropped, done, dup := c.srv.injectAfter(done)
-	if dropped {
-		return nil, done, fmt.Errorf("msgr: %w", fault.ErrReplyDropped)
+	end, err := c.complete(at, arrive, done, len(resp), x)
+	if err != nil {
+		return nil, end, err
 	}
-	end := c.respCost.transmit(done, c.respLink, len(resp))
-	if dup {
-		// The duplicate occupies the wire again; the caller never sees it.
-		end = c.respCost.transmit(end, c.respLink, len(resp))
-	}
-	mBytesBytes.Add(int64(len(req) + len(resp)))
-	attr.Observe(attr.OpOther, attr.PhaseWire, arrive.Sub(at)+end.Sub(done))
 	return resp, end, nil
-}
-
-// CallV joins the segments and runs the byte codec — the in-process
-// transport has no socket to scatter into, and the joined form is
-// exactly what the compatibility oracle wants to exercise. Zero-copy
-// in-process traffic uses CallTyped instead.
-func (c *inProcConn) CallV(at vtime.Time, segs [][]byte) ([]byte, vtime.Time, error) {
-	return c.Call(at, JoinSegs(segs))
 }
 
 // inProcTypedConn is an inProcConn whose server accepts typed dispatch.
@@ -321,42 +341,26 @@ type inProcTypedConn struct {
 // byte-codec wire size, so the virtual-time outcome is identical to the
 // byte path.
 func (c *inProcTypedConn) CallTyped(at vtime.Time, req Msg) (Msg, vtime.Time, error) {
-	if err := c.checkOpen(); err != nil {
-		return nil, at, err
-	}
-	mCallsTyped.Inc()
-	mOutstanding.Add(1)
-	defer mOutstanding.Add(-1)
-	var sp *telemetry.Span
+	x := exchange{calls: mCallsTyped, bytes: mBytesTyped, cls: attr.OpOther, reqLen: req.WireLen()}
 	if carrier, ok := req.(SpanCarrier); ok {
-		sp = carrier.TraceSpan()
+		x.sp = carrier.TraceSpan()
 	}
-	cls := attr.OpOther
 	if carrier, ok := req.(AttrCarrier); ok {
-		cls = carrier.AttrOp()
+		x.cls = carrier.AttrOp()
 	}
-	reqLen := req.WireLen()
-	arrive := c.reqCost.transmit(at, c.reqLink, reqLen)
-	sp.Hop("msgr:req", at, arrive)
-	if err := c.srv.injectBefore(arrive); err != nil {
+	arrive, err := c.admit(at, x)
+	if err != nil {
 		return nil, arrive, err
 	}
+	defer mOutstanding.Add(-1)
 	resp, done, err := c.srv.typed(arrive, req)
 	if err != nil {
 		return nil, arrive, fmt.Errorf("msgr: remote: %w", err)
 	}
-	dropped, done, dup := c.srv.injectAfter(done)
-	if dropped {
-		return nil, done, fmt.Errorf("msgr: %w", fault.ErrReplyDropped)
+	end, err := c.complete(at, arrive, done, resp.WireLen(), x)
+	if err != nil {
+		return nil, end, err
 	}
-	end := c.respCost.transmit(done, c.respLink, resp.WireLen())
-	if dup {
-		// The duplicate occupies the wire again; the caller never sees it.
-		end = c.respCost.transmit(end, c.respLink, resp.WireLen())
-	}
-	sp.Hop("msgr:resp", done, end)
-	mBytesTyped.Add(int64(reqLen + resp.WireLen()))
-	attr.Observe(cls, attr.PhaseWire, arrive.Sub(at)+end.Sub(done))
 	return resp, end, nil
 }
 

@@ -3,7 +3,6 @@ package msgr
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -60,30 +59,6 @@ func TestInProcSharedNICContention(t *testing.T) {
 	}
 	if end2 != vtime.Time(30*time.Microsecond) {
 		t.Fatalf("end2 = %v (should queue behind first on NIC)", end2)
-	}
-}
-
-func TestInProcCallVChargesSummedLength(t *testing.T) {
-	srv := NewInProcServer(echoHandler)
-	defer srv.Close()
-	lc := LinkCost{Latency: 5 * time.Microsecond, StreamPerByte: 1}
-
-	// A scattered request must cost exactly what its joined form costs.
-	joined := srv.Connect("joined", lc, lc)
-	scattered := srv.Connect("scattered", lc, lc)
-	respJ, endJ, err := joined.Call(0, []byte("hello"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	respS, endS, err := scattered.CallV(0, [][]byte{[]byte("he"), nil, []byte("llo")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(respJ, respS) {
-		t.Fatalf("scattered call diverged: %q vs %q", respJ, respS)
-	}
-	if endJ != endS {
-		t.Fatalf("cost model diverged: joined %d scattered %d", endJ, endS)
 	}
 }
 
@@ -186,139 +161,5 @@ func TestDefaultLinkCostShape(t *testing.T) {
 	lc := DefaultLinkCost(nic)
 	if lc.Latency <= 0 || lc.StreamPerByte <= lc.NICPerByte {
 		t.Fatalf("implausible default: %+v", lc)
-	}
-}
-
-func TestTCPRoundTrip(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	resp, end, err := conn.Call(vtime.Time(500), []byte("over tcp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resp, []byte("echo:over tcp")) {
-		t.Fatalf("resp %q", resp)
-	}
-	if end != vtime.Time(500).Add(10*time.Microsecond) {
-		t.Fatalf("virtual time not carried: %d", end)
-	}
-}
-
-func TestTCPConcurrentCalls(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", func(at vtime.Time, req []byte) ([]byte, vtime.Time, error) {
-		return req, at, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			msg := []byte(fmt.Sprintf("msg-%d", i))
-			resp, _, err := conn.Call(0, msg)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !bytes.Equal(resp, msg) {
-				errs <- fmt.Errorf("cross-talk: sent %q got %q", msg, resp)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
-func TestTCPCallVScatterGather(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", func(at vtime.Time, req []byte) ([]byte, vtime.Time, error) {
-		return req, at, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	// Segments — including empty ones — must arrive as one joined frame.
-	segs := [][]byte{[]byte("head|"), nil, bytes.Repeat([]byte{0x42}, 100000), []byte("|tail")}
-	want := append([]byte("head|"), bytes.Repeat([]byte{0x42}, 100000)...)
-	want = append(want, []byte("|tail")...)
-	resp, _, err := conn.CallV(0, segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resp, want) {
-		t.Fatal("vectored frame corrupted")
-	}
-}
-
-func TestTCPRemoteError(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", func(at vtime.Time, req []byte) ([]byte, vtime.Time, error) {
-		return nil, at, fmt.Errorf("remote exploded")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, _, err := conn.Call(0, []byte("x")); err == nil {
-		t.Fatal("remote error not surfaced")
-	}
-}
-
-func TestTCPLargePayload(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", func(at vtime.Time, req []byte) ([]byte, vtime.Time, error) {
-		return req, at, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	big := make([]byte, 4<<20+16+37)
-	for i := range big {
-		big[i] = byte(i)
-	}
-	resp, _, err := conn.Call(0, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resp, big) {
-		t.Fatal("large payload corrupted")
 	}
 }

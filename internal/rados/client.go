@@ -28,14 +28,10 @@ type Client struct {
 // Mutating requests carry the snap context; read requests may address a
 // snapshot via snapID.
 //
-// Transport selection is by capability: a typed connection (the
-// in-process fast path) carries the request and reply as structs — op
-// payloads travel by reference from the caller's buffers to the OSD and
-// back, with zero marshal copies — while a byte connection gets the
-// scatter-gather encoding, whose segments still reference the payloads.
-// Either way the caller may recycle its op payload buffers as soon as
-// Operate returns: the OSD copies what it persists before replying, and
-// the transport has fully consumed the segments.
+// On a typed connection op payloads travel by reference from the
+// caller's buffers to the OSD and back, with zero marshal copies (see
+// roundTrip). The caller may recycle its op payload buffers as soon as
+// Operate returns: the OSD copies what it persists before replying.
 func (c *Client) Operate(at vtime.Time, pool, object string, snapc SnapContext, snapID uint64, ops []Op) ([]Result, vtime.Time, error) {
 	return c.operate(at, c.cmap.PrimaryFor(pool, object), pool, object, snapc, snapID, ops, false)
 }
@@ -95,62 +91,58 @@ func (c *Client) operate(at vtime.Time, osd int, pool, object string, snapc Snap
 		AttrClass: cls,
 	}
 
-	if tc, ok := conn.(msgr.TypedConn); ok {
-		resp, end, err := tc.CallTyped(at, req)
-		if err != nil {
-			mClientErrors.Inc()
-			sp.Finish(at)
-			return nil, at, err
-		}
-		reply, ok := resp.(*Reply)
-		if !ok {
-			mClientErrors.Inc()
-			sp.Finish(end)
-			return nil, end, fmt.Errorf("rados: unexpected typed reply %T", resp)
-		}
-		if len(reply.Results) != len(ops) {
-			mClientErrors.Inc()
-			sp.Finish(end)
-			return nil, end, fmt.Errorf("rados: %d results for %d ops", len(reply.Results), len(ops))
-		}
-		mergeWireHops(sp, reply.Hops)
-		mClientLat.Observe(end.Sub(at))
-		attr.ObserveOp(cls, end.Sub(at))
-		sp.Finish(end)
-		return reply.Results, end, nil
+	reply, end, err := roundTrip(conn, at, req)
+	if err == nil && len(reply.Results) != len(ops) {
+		err = fmt.Errorf("rados: %d results for %d ops", len(reply.Results), len(ops))
 	}
-
-	// Marshal phase: the byte codec is vtime-free in the cost model (the
-	// scatter-gather encode copies no payloads), so the observation
-	// records the crossing with zero duration — the attribution table
-	// shows the phase exists and costs nothing, rather than omitting it.
-	attr.Observe(cls, attr.PhaseMarshal, 0)
-	segs, hdr := req.MarshalV(bufpool.Get(wireHdrHint))
-	respPayload, end, err := conn.CallV(at, segs)
-	bufpool.Put(hdr)
 	if err != nil {
-		mClientErrors.Inc()
-		sp.Finish(at)
-		return nil, at, err
-	}
-	reply, err := UnmarshalReply(respPayload)
-	if err != nil {
-		// The call itself completed; keep the elapsed virtual time even
-		// though the payload is unusable.
+		// end is how far the exchange got (the request's arrival for a
+		// reset or a down OSD, the handler's completion for a dropped
+		// reply), so the span closes after its own transmit hops.
 		mClientErrors.Inc()
 		sp.Finish(end)
 		return nil, end, err
-	}
-	if len(reply.Results) != len(ops) {
-		mClientErrors.Inc()
-		sp.Finish(end)
-		return nil, end, fmt.Errorf("rados: %d results for %d ops", len(reply.Results), len(ops))
 	}
 	mergeWireHops(sp, reply.Hops)
 	mClientLat.Observe(end.Sub(at))
 	attr.ObserveOp(cls, end.Sub(at))
 	sp.Finish(end)
 	return reply.Results, end, nil
+}
+
+// roundTrip is the one place a request crosses a connection — the
+// client's operate and every per-peer forward of OSD.replicate go
+// through it. Transport selection is by capability: a typed connection
+// carries request and reply as structs; anything else gets the reference
+// byte encoding, scatter-gather marshaled into a pooled header, joined,
+// and fully decoded on the way back. On failure the returned time is the
+// one the transport reported, never earlier than at.
+func roundTrip(conn msgr.Conn, at vtime.Time, req *Request) (*Reply, vtime.Time, error) {
+	if tc, ok := conn.(msgr.TypedConn); ok {
+		resp, end, err := tc.CallTyped(at, req)
+		if err != nil {
+			return nil, end, err
+		}
+		reply, ok := resp.(*Reply)
+		if !ok {
+			return nil, end, fmt.Errorf("rados: unexpected typed reply %T", resp)
+		}
+		return reply, end, nil
+	}
+	// Marshal phase: the byte codec is vtime-free in the cost model (the
+	// scatter-gather encode copies no payloads), so the observation
+	// records the crossing with zero duration — the attribution table
+	// shows the phase exists and costs nothing, rather than omitting it.
+	attr.Observe(req.AttrClass, attr.PhaseMarshal, 0)
+	segs, hdr := req.MarshalV(bufpool.Get(wireHdrHint))
+	payload, end, err := conn.Call(at, msgr.JoinSegs(segs))
+	bufpool.Put(hdr)
+	if err != nil {
+		return nil, end, err
+	}
+	// A reply that does not decode still completed the call: keep end.
+	reply, err := UnmarshalReply(payload)
+	return reply, end, err
 }
 
 // attrClassOf buckets a request's op vector into an attribution class:

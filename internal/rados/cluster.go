@@ -40,10 +40,9 @@ func (m *ClusterMap) PrimaryFor(pool, object string) int {
 // NetCost parameterizes the simulated network, mirroring §3.2's
 // environment (100 Gb/s links, ~13 Gb/s measured per stream).
 type NetCost struct {
-	LatencyMicros   int64
-	StreamGbits     float64 // per-connection achievable bandwidth
-	NICGbits        float64 // per-host NIC bandwidth
-	ReplicaParallel bool    // kept for ablation; replicas always parallel today
+	LatencyMicros int64
+	StreamGbits   float64 // per-connection achievable bandwidth
+	NICGbits      float64 // per-host NIC bandwidth
 }
 
 // DefaultNetCost returns the paper-calibrated network model.

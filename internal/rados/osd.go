@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/blobstore"
-	"repro/internal/bufpool"
 	"repro/internal/crush"
 	"repro/internal/msgr"
 	"repro/internal/simdisk"
@@ -152,15 +151,9 @@ func (o *OSD) lockFor(fullName string) *sync.Mutex {
 	return l
 }
 
-// Handle is the byte-codec msgr entry point; exposed so OSDs can be
-// served over any transport (real TCP, or the in-proc loopback used as
-// the codec-compatibility oracle). The in-proc fast path enters through
-// handleTyped instead and never touches the codec.
-func (o *OSD) Handle(at vtime.Time, payload []byte) ([]byte, vtime.Time, error) {
-	return o.handle(at, payload)
-}
-
-// handle services one byte-codec request.
+// handle services one byte-codec request — the loopback that runs the
+// reference encoding end to end. Production traffic enters through
+// handleTyped and never touches the codec.
 func (o *OSD) handle(at vtime.Time, payload []byte) ([]byte, vtime.Time, error) {
 	req, err := UnmarshalRequest(payload)
 	if err != nil {
@@ -204,24 +197,16 @@ func (o *OSD) serve(at vtime.Time, req *Request) (*Reply, vtime.Time, error) {
 
 	// CPU admission cost.
 	var bytes int64
-	mutating, hasRead := false, false
 	for _, op := range req.Ops {
 		bytes += int64(len(op.Data))
 		for _, p := range op.Pairs {
 			bytes += int64(len(p.Key) + len(p.Value))
 		}
-		if op.Kind.Mutates() {
-			mutating = true
-		} else if op.Kind == OpRead {
-			hasRead = true
-		}
 	}
-	cls := attr.OpOther
-	if mutating {
-		cls = attr.OpWrite
-	} else if hasRead {
-		cls = attr.OpRead
-	}
+	// Classified from the ops, not req.AttrClass: that field is
+	// client-local and does not cross the byte codec.
+	cls := attrClassOf(req.Ops)
+	mutating := cls == attr.OpWrite
 	cpuTime := o.cost.PerRequest + time.Duration(len(req.Ops))*o.cost.PerOp +
 		time.Duration(float64(bytes)*o.cost.PerByte)
 	admitted := o.cpu.Use(at, cpuTime)
@@ -285,11 +270,10 @@ func (o *OSD) serve(at vtime.Time, req *Request) (*Reply, vtime.Time, error) {
 }
 
 // replicate runs primary-copy replication: the request is forwarded to
-// the other replicas in parallel — typed when the peer connection allows
-// it, scatter-gather marshaled otherwise — and the write is acknowledged
-// when every copy is durable. For traced requests the replicas' reply
-// hops are merged into reply so the client's stitched timeline includes
-// every replica serve.
+// the other replicas in parallel, one roundTrip per peer, and the write
+// is acknowledged when every copy is durable. The replicas' reply hops
+// are merged into reply so the client's stitched timeline includes every
+// replica serve.
 func (o *OSD) replicate(at vtime.Time, req *Request, end vtime.Time, reply *Reply) (vtime.Time, error) {
 	pg := o.cmap.PG(req.Pool, req.Object)
 	replicas := o.cmap.OSDsFor(pg)
@@ -320,62 +304,38 @@ func (o *OSD) replicate(at vtime.Time, req *Request, end vtime.Time, reply *Repl
 	fwd := *req
 	fwd.Replica = true
 	fwd.Span = nil
-	var fwdSegs [][]byte
-	var fwdHdr []byte
-	for _, c := range conns {
-		if _, ok := c.(msgr.TypedConn); !ok {
-			fwdSegs, fwdHdr = fwd.MarshalV(bufpool.Get(wireHdrHint))
-			break
-		}
-	}
 
 	type repl struct {
-		end  vtime.Time
-		hops []telemetry.Hop
-		err  error
+		reply *Reply
+		end   vtime.Time
+		err   error
 	}
 	ch := make(chan repl, len(conns))
 	for _, conn := range conns {
 		go func(c msgr.Conn) {
 			var r repl
-			// Hops are harvested from every ack, traced or not: an
-			// untraced replica whose serve crossed the slow threshold
-			// self-promotes its serve hop, and dropping it here would
-			// blind the tail capture to the straggler.
-			if tc, ok := c.(msgr.TypedConn); ok {
-				var resp msgr.Msg
-				resp, r.end, r.err = tc.CallTyped(at, &fwd)
-				if r.err == nil {
-					if rep, ok := resp.(*Reply); ok {
-						r.hops = rep.Hops
-					}
-				}
-			} else {
-				var payload []byte
-				payload, r.end, r.err = c.CallV(at, fwdSegs)
-				if r.err == nil {
-					// Hops-only decode: skips the results without
-					// allocating and returns owned hop records (names are
-					// string copies), so the common no-hops ack costs a
-					// scan and nothing else.
-					r.hops = replyWireHops(payload)
-				}
-			}
+			r.reply, r.end, r.err = roundTrip(c, at, &fwd)
 			ch <- r
 		}(conn)
 	}
 	var firstErr error
 	for i := 0; i < len(conns); i++ {
 		r := <-ch
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
 		end = vtime.Max(end, r.end)
-		// Ack-arrival order is nondeterministic, but the hop *set* is
-		// deterministic; consumers treat hops as unordered.
-		reply.Hops = append(reply.Hops, r.hops...)
+		if r.err != nil {
+			if firstErr == nil {
+				firstErr = r.err
+			}
+			continue
+		}
+		// Hops are harvested from every ack, traced or not: an untraced
+		// replica whose serve crossed the slow threshold self-promotes
+		// its serve hop, and dropping it here would blind the tail
+		// capture to the straggler. Ack-arrival order is
+		// nondeterministic, but the hop *set* is deterministic;
+		// consumers treat hops as unordered.
+		reply.Hops = append(reply.Hops, r.reply.Hops...)
 	}
-	bufpool.Put(fwdHdr)
 	if firstErr != nil {
 		return at, fmt.Errorf("osd%d: replica: %w", o.id, firstErr)
 	}

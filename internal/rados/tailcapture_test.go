@@ -71,7 +71,10 @@ func TestTailCaptureLatencySpike(t *testing.T) {
 	const writes = 20
 
 	typedCluster, typedCl := newWireCluster(t, 3, 3)
+	// The byte row crosses the codec on every leg: the straggler replica's
+	// promoted hop reaches the primary inside a marshalled ack.
 	byteCluster, rawCl := newWireCluster(t, 3, 3)
+	bytePeers(byteCluster)
 	byteCl := byteClient(rawCl)
 
 	for _, tc := range []struct {

@@ -10,10 +10,12 @@ package rados
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/telemetry"
 	"repro/internal/vtime"
 )
@@ -101,6 +103,54 @@ func TestTraceCompletenessReplicatedWrite(t *testing.T) {
 						h.Name, h.Start, h.End, rec.Start, rec.End)
 				}
 			}
+		})
+	}
+}
+
+// TestFailedOpSpanCoversItsHops pins the one failure rule of the client
+// tail: an op the transport failed is finished at, and returns, the time
+// the transport got to — the request's arrival for a reset (the server
+// never saw it), the handler's completion for a dropped reply (it ran) —
+// so the span never ends before its own msgr:req hop.
+func TestFailedOpSpanCoversItsHops(t *testing.T) {
+	telemetry.Ops.SetSampleEvery(1)
+	defer telemetry.Ops.SetSampleEvery(64)
+
+	for _, kind := range []fault.Kind{fault.ConnReset, fault.DropReply} {
+		t.Run(kind.String(), func(t *testing.T) {
+			c, cl := newWireCluster(t, 1, 1)
+			c.OSDs()[0].Server().SetFaults(fault.NewPlan(1, fault.Config{
+				Prob: map[fault.Kind]float64{kind: 1},
+			}).Injector("osd0/msgr"))
+
+			const at = vtime.Time(1000)
+			obj := "failed-" + kind.String()
+			_, end, err := cl.Operate(at, "rbd", obj, SnapContext{}, 0,
+				[]Op{{Kind: OpWrite, Off: 0, Data: make([]byte, 4096)}})
+			if !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("err = %v, want an injected fault", err)
+			}
+			if end <= at {
+				t.Errorf("returned time %d, want past the issue time %d", end, at)
+			}
+			for _, rec := range telemetry.Ops.Recent() {
+				if rec.Target != obj {
+					continue
+				}
+				if rec.End != end {
+					t.Errorf("span ends at %d, op returned %d", rec.End, end)
+				}
+				if rec.NHops == 0 {
+					t.Error("span lost its msgr:req hop")
+				}
+				for _, h := range rec.Hops[:rec.NHops] {
+					if h.End > rec.End {
+						t.Errorf("hop %s ends at %d, after its span (%d)", h.Name, h.End, rec.End)
+					}
+				}
+				return
+			}
+			t.Fatalf("no finished span for %s", obj)
 		})
 	}
 }

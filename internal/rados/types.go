@@ -228,21 +228,21 @@ type Reply struct {
 
 // ---- wire encoding ----
 //
-// Messages exist in two interchangeable forms (DESIGN.md "wire forms"):
+// Messages cross connections as typed structs (roundTrip in client.go);
+// the byte codec below is the reference encoding whose size WireLen
+// reports and the cost model charges (DESIGN.md "One transport, one
+// reference encoding"). It has two producers:
 //
-//   - The byte codec: Marshal/Unmarshal produce and parse the flat
-//     little-endian encoding. It is the TCP and loopback form and the
-//     compatibility oracle the fuzz targets pin. Unmarshal is zero-copy:
-//     decoded Key/Data/Pair slices alias the input buffer, which the
-//     caller must therefore treat as immutable and unpooled for the
-//     lifetime of the decoded message.
-//   - The scatter-gather form: MarshalV packs every fixed field and
-//     small payload into a caller-provided (typically pooled) header
-//     buffer and references — not copies — large payloads, yielding a
-//     segment list whose concatenation is byte-identical to Marshal.
-//     Transports forward the segments directly (vectored socket writes);
-//     the typed in-process path skips encoding entirely and charges
-//     WireLen instead.
+//   - Marshal/Unmarshal produce and parse the flat little-endian
+//     encoding — the form the in-process byte loopback carries and the
+//     fuzz targets pin. Unmarshal is zero-copy: decoded Key/Data/Pair
+//     slices alias the input buffer, which the caller must therefore
+//     treat as immutable and unpooled for the lifetime of the decoded
+//     message.
+//   - MarshalV packs every fixed field and small payload into a
+//     caller-provided (typically pooled) header buffer and references —
+//     not copies — large payloads, yielding a segment list whose
+//     concatenation is byte-identical to Marshal.
 
 // ErrWire reports a malformed message.
 var ErrWire = errors.New("rados: malformed message")
@@ -589,68 +589,4 @@ func UnmarshalReply(b []byte) (*Reply, error) {
 		return nil, ErrWire
 	}
 	return p, r.err
-}
-
-// skipBytes advances past one length-prefixed field without aliasing it.
-func (r *wireReader) skipBytes() {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail()
-		return
-	}
-	r.off += n
-}
-
-// skipPairs advances past an encoded pair vector.
-func (r *wireReader) skipPairs() {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > (len(r.buf)-r.off)/8 {
-		r.fail()
-		return
-	}
-	for i := 0; i < n; i++ {
-		r.skipBytes()
-		r.skipBytes()
-	}
-}
-
-// replyWireHops decodes only the trace-hop vector of an encoded reply,
-// skipping the results without allocating. The replication ack path
-// uses it to harvest promoted hops off every byte-codec reply: with no
-// hops present (the common, untraced-and-fast case) it costs a linear
-// scan and zero allocations. Malformed input yields nil — the caller
-// only wanted hops, and the full decode path still validates replies
-// that matter.
-func replyWireHops(b []byte) []telemetry.Hop {
-	r := &wireReader{buf: b}
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > (len(b)-r.off)/20 {
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		r.u32() // status
-		r.u64() // size
-		r.skipBytes()
-		r.skipPairs()
-		if r.err != nil {
-			return nil
-		}
-	}
-	nh := int(r.u32())
-	if r.err != nil || nh <= 0 || nh > (len(b)-r.off)/20 {
-		return nil
-	}
-	hops := make([]telemetry.Hop, 0, nh)
-	for i := 0; i < nh; i++ {
-		h := telemetry.Hop{
-			Name:  r.str(), // owned copy; never aliases b
-			Start: vtime.Time(r.i64()),
-			End:   vtime.Time(r.i64()),
-		}
-		if r.err != nil {
-			return nil
-		}
-		hops = append(hops, h)
-	}
-	return hops
 }

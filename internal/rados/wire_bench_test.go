@@ -3,8 +3,11 @@ package rados
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/msgr"
 	"repro/internal/simdisk"
@@ -49,6 +52,34 @@ func byteClient(cl *Client) *Client {
 		conns[id] = byteOnlyConn{conn}
 	}
 	return &Client{cmap: cl.cmap, conns: conns}
+}
+
+// bytePeers rewires every OSD's replication connections byte-only, so the
+// primary→replica leg crosses the codec as well as the client's.
+func bytePeers(c *Cluster) {
+	for _, o := range c.OSDs() {
+		for id, conn := range o.peers {
+			o.SetPeer(id, byteOnlyConn{conn})
+		}
+	}
+}
+
+// serverHops is the set of OSD-reported hops (serve, replicate) on a
+// finished span, by name alone when timed is false. The transport's own
+// msgr:* hops are left out: only a typed client connection sees the span
+// to record them.
+func serverHops(rec telemetry.SpanRecord, timed bool) map[telemetry.Hop]bool {
+	set := map[telemetry.Hop]bool{}
+	for _, h := range rec.Hops[:rec.NHops] {
+		if strings.HasPrefix(h.Name, "msgr:") {
+			continue
+		}
+		if !timed {
+			h = telemetry.Hop{Name: h.Name}
+		}
+		set[h] = true
+	}
+	return set
 }
 
 // BenchmarkWireRoundtrip measures the client↔OSD wire path end to end.
@@ -190,74 +221,149 @@ func TestInProcRoundtripAllocBudget(t *testing.T) {
 	}
 }
 
-// TestTypedBytePathParity drives two identical clusters through the two
-// wire forms with the same op sequence: results and virtual completion
-// times must match exactly, because the typed path charges WireLen — the
-// precise byte-codec size — to the same cost model.
+// TestTypedBytePathParity drives identical clusters through the two wire
+// forms with the same op sequence: results and virtual completion times
+// must match exactly, because the typed path charges WireLen — the
+// precise byte-codec size — to the same cost model. The byte form is
+// held to it on the client leg alone and on every leg (replication
+// forwards included), where the merged hop set must match too: replica
+// hops reach the client only through roundTrip's full reply decode.
 func TestTypedBytePathParity(t *testing.T) {
-	// The two clients interleave draws from the shared trace sampler; a
+	// The clients interleave draws from the shared trace sampler; a
 	// sampled op carries serve/replicate hops in its reply (more wire
 	// bytes), so sampling one path's op but not its twin would split the
-	// clocks. Untraced requests are what parity is about — disable
-	// sampling for the duration.
+	// clocks. Sampling is off except for the one step that forces it on
+	// for every twin.
 	telemetry.Ops.SetSampleEvery(1 << 30)
 	defer telemetry.Ops.SetSampleEvery(64)
 
-	_, typedCl := newWireCluster(t, 3, 3)
-	_, rawCl := newWireCluster(t, 3, 3)
-	byteCl := byteClient(rawCl)
+	typedCluster, typedCl := newWireCluster(t, 3, 3)
+	byteCluster, rawCl := newWireCluster(t, 3, 3)
+	allByteCluster, rawAllCl := newWireCluster(t, 3, 3)
+	bytePeers(allByteCluster)
+	forms := []struct {
+		name string
+		c    *Cluster
+		cl   *Client
+	}{
+		{"typed", typedCluster, typedCl},
+		{"byte-client", byteCluster, byteClient(rawCl)},
+		{"byte-all", allByteCluster, byteClient(rawAllCl)},
+	}
+
+	const obj = "parity-obj"
+	// A replica, not the primary: its serve hop has to travel the
+	// primary→replica leg's reply to be seen at all.
+	straggler := typedCl.ReplicasFor("rbd", obj)[1]
 
 	type step struct {
 		name string
 		ops  []Op
 		snap SnapContext
+		// Both compare the merged server hop set. traced forces the
+		// sampler on for the step and reads the recent ring. spiked slows
+		// the straggler past the slow threshold and reads the slow ring,
+		// where the untraced op lands by self-promotion; it goes last and
+		// compares hop names and end times to within 1 µs, because the
+		// fast and the slow replica's acks differ in size and reserve the
+		// primary's NIC in host order (ROADMAP item 1), which moves the
+		// fan-out's end by the few ns of NIC time the small ack takes.
+		traced, spiked bool
 	}
 	iv := bytes.Repeat([]byte{0xAB}, 16)
 	steps := []step{
-		{"write-4k", []Op{{Kind: OpWrite, Off: 0, Data: bytes.Repeat([]byte{1}, 4096)}}, SnapContext{}},
-		{"write-omap", []Op{
+		{name: "write-4k", ops: []Op{{Kind: OpWrite, Off: 0, Data: bytes.Repeat([]byte{1}, 4096)}}},
+		{name: "write-omap", ops: []Op{
 			{Kind: OpWrite, Off: 4096, Data: bytes.Repeat([]byte{2}, 8192)},
 			{Kind: OpOmapSet, Pairs: []Pair{{Key: []byte("iv.0"), Value: iv}, {Key: []byte("iv.1"), Value: iv}}},
-		}, SnapContext{}},
-		{"snap-write", []Op{{Kind: OpWrite, Off: 0, Data: bytes.Repeat([]byte{3}, 4096)}}, SnapContext{Seq: 1}},
-		{"read", []Op{{Kind: OpRead, Off: 0, Len: 12288}}, SnapContext{}},
-		{"omap-range", []Op{{Kind: OpOmapGetRange, Key: []byte("iv."), Key2: []byte("iv/")}}, SnapContext{}},
-		{"stat-attr", []Op{{Kind: OpStat}}, SnapContext{}},
+		}},
+		{name: "snap-write", ops: []Op{{Kind: OpWrite, Off: 0, Data: bytes.Repeat([]byte{3}, 4096)}}, snap: SnapContext{Seq: 1}},
+		{name: "traced-write", ops: []Op{{Kind: OpWrite, Off: 0, Data: bytes.Repeat([]byte{4}, 4096)}}, snap: SnapContext{Seq: 1}, traced: true},
+		{name: "read", ops: []Op{{Kind: OpRead, Off: 0, Len: 12288}}},
+		{name: "omap-range", ops: []Op{{Kind: OpOmapGetRange, Key: []byte("iv."), Key2: []byte("iv/")}}},
+		{name: "stat-attr", ops: []Op{{Kind: OpStat}}},
+		{name: "spiked-write", ops: []Op{{Kind: OpWrite, Off: 0, Data: bytes.Repeat([]byte{5}, 4096)}}, snap: SnapContext{Seq: 1}, spiked: true},
+	}
+
+	// run issues one step on one form and, for the hop-comparing steps,
+	// picks the op's span out of the ring it lands in by object and end
+	// time; the rings list equal ends newest claim first, so a twin that
+	// finished at the same instant on an earlier form is not mistaken
+	// for it.
+	run := func(f int, s step, at vtime.Time) ([]Result, vtime.Time, map[telemetry.Hop]bool, error) {
+		res, end, err := forms[f].cl.Operate(at, "rbd", obj, s.snap, 0, s.ops)
+		var ring []telemetry.SpanRecord
+		if s.traced {
+			ring = telemetry.Ops.Recent()
+		} else if s.spiked {
+			ring = telemetry.Ops.Slow()
+		}
+		for _, rec := range ring {
+			if rec.Target == obj && rec.End == end {
+				return res, end, serverHops(rec, !s.spiked), err
+			}
+		}
+		return res, end, nil, err
 	}
 
 	at := vtime.Time(0)
 	for _, s := range steps {
-		resT, endT, errT := typedCl.Operate(at, "rbd", "parity-obj", s.snap, 0, s.ops)
-		resB, endB, errB := byteCl.Operate(at, "rbd", "parity-obj", s.snap, 0, s.ops)
-		if (errT == nil) != (errB == nil) {
-			t.Fatalf("%s: error divergence: typed=%v byte=%v", s.name, errT, errB)
+		if s.traced {
+			telemetry.Ops.SetSampleEvery(1)
 		}
-		if errT != nil {
-			continue
-		}
-		if endT != endB {
-			t.Errorf("%s: virtual time diverged: typed=%d byte=%d", s.name, endT, endB)
-		}
-		if len(resT) != len(resB) {
-			t.Fatalf("%s: result count diverged", s.name)
-		}
-		for i := range resT {
-			if resT[i].Status != resB[i].Status || resT[i].Size != resB[i].Size {
-				t.Errorf("%s op %d: status/size diverged: %+v vs %+v", s.name, i, resT[i], resB[i])
+		var disarm []func()
+		if s.spiked {
+			for _, f := range forms {
+				disarm = append(disarm, spikeOSD(f.c, straggler, 30*time.Millisecond))
 			}
-			if !bytes.Equal(resT[i].Data, resB[i].Data) {
-				t.Errorf("%s op %d: data diverged", s.name, i)
+		}
+		resT, endT, hopsT, errT := run(0, s, at)
+		if s.traced && len(hopsT) != 4 {
+			t.Errorf("%s: typed span carries %v, want 3 serves + 1 replicate", s.name, hopsT)
+		}
+		if want := fmt.Sprintf("osd%d:serve", straggler); s.spiked && !hopsT[telemetry.Hop{Name: want}] {
+			t.Errorf("%s: typed span lacks the straggler's self-promoted %s hop: %v", s.name, want, hopsT)
+		}
+		for f := 1; f < len(forms); f++ {
+			where := s.name + "/" + forms[f].name
+			res, end, hops, err := run(f, s, at)
+			if (errT == nil) != (err == nil) {
+				t.Fatalf("%s: error divergence: typed=%v byte=%v", where, errT, err)
 			}
-			if len(resT[i].Pairs) != len(resB[i].Pairs) {
-				t.Errorf("%s op %d: pair count diverged", s.name, i)
+			if errT != nil {
 				continue
 			}
-			for j := range resT[i].Pairs {
-				if !bytes.Equal(resT[i].Pairs[j].Key, resB[i].Pairs[j].Key) ||
-					!bytes.Equal(resT[i].Pairs[j].Value, resB[i].Pairs[j].Value) {
-					t.Errorf("%s op %d pair %d diverged", s.name, i, j)
+			if d := end.Sub(endT); d != 0 && !(s.spiked && d.Abs() < time.Microsecond) {
+				t.Errorf("%s: virtual time diverged: typed=%d byte=%d", where, endT, end)
+			}
+			if !reflect.DeepEqual(hopsT, hops) {
+				t.Errorf("%s: merged hop set diverged:\n typed=%v\n byte= %v", where, hopsT, hops)
+			}
+			if len(resT) != len(res) {
+				t.Fatalf("%s: result count diverged", where)
+			}
+			for i := range resT {
+				if resT[i].Status != res[i].Status || resT[i].Size != res[i].Size {
+					t.Errorf("%s op %d: status/size diverged: %+v vs %+v", where, i, resT[i], res[i])
+				}
+				if !bytes.Equal(resT[i].Data, res[i].Data) {
+					t.Errorf("%s op %d: data diverged", where, i)
+				}
+				if len(resT[i].Pairs) != len(res[i].Pairs) {
+					t.Errorf("%s op %d: pair count diverged", where, i)
+					continue
+				}
+				for j := range resT[i].Pairs {
+					if !bytes.Equal(resT[i].Pairs[j].Key, res[i].Pairs[j].Key) ||
+						!bytes.Equal(resT[i].Pairs[j].Value, res[i].Pairs[j].Value) {
+						t.Errorf("%s op %d pair %d diverged", where, i, j)
+					}
 				}
 			}
+		}
+		telemetry.Ops.SetSampleEvery(1 << 30)
+		for _, d := range disarm {
+			d()
 		}
 		at = endT
 	}

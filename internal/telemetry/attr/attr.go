@@ -13,17 +13,15 @@
 // than from subtracting trace hops. Ops are bucketed into three classes
 // (read/write/other) to keep series cardinality fixed.
 //
-// Recording is the hot path: one enabled check, two bounds checks and a
-// histogram Observe — no locks, no allocation (TestAttributionAllocBudget
-// pins AllocsPerRun==0, and the DatapathAttr gated benchmark locks in
-// the on-vs-off overhead). All series are pre-resolved into arrays at
-// package init; SetEnabled flips a single atomic for A/B measurement.
+// Recording is the hot path: two bounds checks and a histogram Observe —
+// no locks, no allocation (TestAttributionAllocBudget pins
+// AllocsPerRun==0). All series are pre-resolved into arrays at package
+// init, and there is no off switch: always-on is the point.
 package attr
 
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/telemetry"
 	"repro/internal/vtime"
@@ -80,7 +78,6 @@ func OpName(op int) string {
 // Pre-resolved series: setup (label resolution, registration) happens
 // once at package init so Observe is a pure array index + atomic adds.
 var (
-	enabled atomic.Bool
 	opTotal [NumOps]*telemetry.Histogram
 	phases  [NumOps][NumPhases]*telemetry.Histogram
 )
@@ -96,23 +93,11 @@ func init() {
 			phases[op][p] = ph.With(opNames[op], p.String())
 		}
 	}
-	enabled.Store(true)
 }
-
-// Enabled reports whether attribution recording is on.
-func Enabled() bool { return enabled.Load() }
-
-// SetEnabled turns attribution recording on or off process-wide. Off is
-// for A/B overhead measurement (the DatapathAttr benchmark); production
-// posture is on — that is the point of "always-on".
-func SetEnabled(on bool) { enabled.Store(on) }
 
 // Observe attributes d of virtual time to one phase of one op class.
 // Zero-alloc, lock-free; out-of-range classes/phases are dropped.
 func Observe(op int, p Phase, d vtime.Duration) {
-	if !enabled.Load() {
-		return
-	}
 	if op < 0 || op >= NumOps || p < 0 || p >= NumPhases {
 		return
 	}
@@ -121,9 +106,6 @@ func Observe(op int, p Phase, d vtime.Duration) {
 
 // ObserveOp records one op's end-to-end virtual time for its class.
 func ObserveOp(op int, d vtime.Duration) {
-	if !enabled.Load() {
-		return
-	}
 	if op < 0 || op >= NumOps {
 		return
 	}
