@@ -107,8 +107,9 @@ type objectInfo struct {
 	version    uint64
 }
 
-func (oi objectInfo) marshal() []byte {
-	b := make([]byte, 32)
+const onodeSize = 32
+
+func (oi objectInfo) marshal() (b [onodeSize]byte) {
 	binary.LittleEndian.PutUint64(b[0:8], uint64(oi.baseSector))
 	binary.LittleEndian.PutUint64(b[8:16], uint64(oi.capBytes))
 	binary.LittleEndian.PutUint64(b[16:24], uint64(oi.sizeBytes))
@@ -117,7 +118,7 @@ func (oi objectInfo) marshal() []byte {
 }
 
 func unmarshalObjectInfo(b []byte) (objectInfo, error) {
-	if len(b) != 32 {
+	if len(b) != onodeSize {
 		return objectInfo{}, fmt.Errorf("blobstore: bad onode record (%d bytes)", len(b))
 	}
 	return objectInfo{
@@ -154,8 +155,13 @@ type Store struct {
 	frontier    int64 // next free data-area sector
 	dataStart   int64 // first data-area sector
 	cache       *sectorCache
-	pendingDels [][]byte // applied deferred-record keys awaiting cleanup
+	pendingDels []uint64 // applied deferred records (by sequence number) awaiting cleanup
 	stats       Stats
+
+	// Commit scratch of applyLocked, reused under mu: the batch every
+	// transaction is staged in and the buffer its keys are built in.
+	batch  kvstore.Batch
+	keyBuf []byte
 }
 
 // Key namespaces inside the metadata store. Object names must not contain
@@ -167,24 +173,35 @@ const (
 	nsDefer  = "D/"
 )
 
+// maxKeyLen is the longest key the metadata store's entry encoding holds.
+const maxKeyLen = 1<<16 - 1
+
+// The append forms build a key onto b; the commit path points them at its
+// reused key buffer. The allocating forms below serve the read paths,
+// which run outside the store lock and need a key of their own.
+
+func appendObjectKey(b []byte, obj string) []byte {
+	return append(append(b, nsObject...), obj...)
+}
+
+func appendAttrKey(b []byte, obj string, name []byte) []byte {
+	return append(append(append(append(b, nsAttr...), obj...), 0), name...)
+}
+
+func appendOmapKey(b []byte, obj string, key []byte) []byte {
+	return append(append(append(append(b, nsOmap...), obj...), 0), key...)
+}
+
+func appendDeferKey(b []byte, seq uint64) []byte {
+	return binary.BigEndian.AppendUint64(append(b, nsDefer...), seq)
+}
+
 func omapKey(obj string, key []byte) []byte {
-	k := make([]byte, 0, len(nsOmap)+len(obj)+1+len(key))
-	k = append(k, nsOmap...)
-	k = append(k, obj...)
-	k = append(k, 0)
-	k = append(k, key...)
-	return k
+	return appendOmapKey(make([]byte, 0, len(nsOmap)+len(obj)+1+len(key)), obj, key)
 }
 
 func attrKey(obj, name string) []byte {
 	return []byte(nsAttr + obj + "\x00" + name)
-}
-
-func deferKey(seq uint64) []byte {
-	k := make([]byte, len(nsDefer)+8)
-	copy(k, nsDefer)
-	binary.BigEndian.PutUint64(k[len(nsDefer):], seq)
-	return k
 }
 
 // Open formats or recovers a store occupying the whole disk. The metadata
@@ -222,11 +239,7 @@ func Open(at vtime.Time, disk *simdisk.Disk, cfg Config) (*Store, vtime.Time, er
 		if err != nil {
 			return nil, at, err
 		}
-		name := string(kvp.Key[len(nsObject):])
-		s.objects[name] = oi
-		if top := oi.baseSector + oi.capBytes/simdisk.SectorSize; top > s.frontier {
-			s.frontier = top
-		}
+		s.commitObject(string(kvp.Key[len(nsObject):]), oi)
 	}
 
 	// Replay deferred sub-sector writes in commit order (idempotent).
@@ -303,15 +316,24 @@ func (s *Store) Size(obj string) (int64, error) {
 	return oi.sizeBytes, nil
 }
 
-// allocate reserves capacity for a new object.
-func (s *Store) allocate(name string) (objectInfo, error) {
+// place picks the data-area span the next new object will occupy. It
+// reserves nothing: commitObject does, once the creating transaction has
+// committed, so a create that is refused or fails leaves no capacity
+// behind.
+func (s *Store) place() (objectInfo, error) {
 	capSectors := s.cfg.ObjectCapacity / simdisk.SectorSize
 	if s.frontier+capSectors > s.disk.Sectors() {
 		return objectInfo{}, fmt.Errorf("%w: frontier %d + %d > %d", ErrNoSpace, s.frontier, capSectors, s.disk.Sectors())
 	}
-	oi := objectInfo{baseSector: s.frontier, capBytes: s.cfg.ObjectCapacity}
-	s.frontier += capSectors
-	return oi, nil
+	return objectInfo{baseSector: s.frontier, capBytes: s.cfg.ObjectCapacity}, nil
+}
+
+// commitObject records a committed onode and keeps the frontier past it.
+func (s *Store) commitObject(name string, oi objectInfo) {
+	s.objects[name] = oi
+	if top := oi.baseSector + oi.capBytes/simdisk.SectorSize; top > s.frontier {
+		s.frontier = top
+	}
 }
 
 // Apply atomically executes a transaction against obj, creating it if
@@ -327,12 +349,14 @@ func (s *Store) applyLocked(at vtime.Time, obj string, txn *Txn) (vtime.Time, er
 	oi, exists := s.objects[obj]
 	if !exists {
 		var err error
-		if oi, err = s.allocate(obj); err != nil {
+		if oi, err = s.place(); err != nil {
 			return at, err
 		}
 	}
 
 	// Validate and split data writes into aligned and sub-sector spans.
+	// A write yields at most one aligned and two partial spans, so the
+	// usual transaction's spans fit the arrays and never reach the heap.
 	type alignedSpan struct {
 		sector int64
 		data   []byte
@@ -341,8 +365,11 @@ func (s *Store) applyLocked(at vtime.Time, obj string, txn *Txn) (vtime.Time, er
 		diskOff int64
 		data    []byte
 	}
-	var aligned []alignedSpan
-	var partial []partialSpan
+	var (
+		alignedArr [4]alignedSpan
+		partialArr [8]partialSpan
+	)
+	aligned, partial := alignedArr[:0], partialArr[:0]
 	base := oi.baseSector * simdisk.SectorSize
 	for _, w := range txn.Writes {
 		if w.Off < 0 || w.Off+int64(len(w.Data)) > oi.capBytes {
@@ -382,28 +409,41 @@ func (s *Store) applyLocked(at vtime.Time, obj string, txn *Txn) (vtime.Time, er
 	oi.version++
 
 	// Stage the commit batch: onode, attrs, omap, deferred payloads, and
-	// cleanup of previously applied deferred records.
-	var batch kvstore.Batch
-	batch.Put([]byte(nsObject+obj), oi.marshal())
+	// cleanup of previously applied deferred records. Every key is built
+	// in the one key buffer (the batch copies it out), and a key the
+	// metadata store could not hold refuses the transaction here, before
+	// the data area is touched.
+	batch := &s.batch
+	batch.Reset()
+	tooLong := false
+	key := func(k []byte) []byte {
+		s.keyBuf = k
+		tooLong = tooLong || len(k) > maxKeyLen
+		return k
+	}
+	onode := oi.marshal()
+	batch.Put(key(appendObjectKey(s.keyBuf[:0], obj)), onode[:])
 	for _, a := range txn.AttrSet {
-		batch.Put(attrKey(obj, string(a.Key)), a.Value)
+		batch.Put(key(appendAttrKey(s.keyBuf[:0], obj, a.Key)), a.Value)
 	}
 	for _, m := range txn.OmapSet {
-		batch.Put(omapKey(obj, m.Key), m.Value)
+		batch.Put(key(appendOmapKey(s.keyBuf[:0], obj, m.Key)), m.Value)
 	}
 	for _, k := range txn.OmapDel {
-		batch.Delete(omapKey(obj, k))
+		batch.Delete(key(appendOmapKey(s.keyBuf[:0], obj, k)))
+	}
+	if tooLong {
+		return at, fmt.Errorf("%w: a key of object %q exceeds %d bytes", kvstore.ErrEntryTooLarge, obj, maxKeyLen)
 	}
 	deferBase := s.kv.Seq()
 	for i, p := range partial {
-		val := make([]byte, 8+len(p.data))
-		binary.LittleEndian.PutUint64(val[:8], uint64(p.diskOff))
-		copy(val[8:], p.data)
+		var off [8]byte
+		binary.LittleEndian.PutUint64(off[:], uint64(p.diskOff))
 		// Transient: deferred payloads die in the memtable once applied.
-		batch.PutTransient(deferKey(deferBase+uint64(i)), val)
+		batch.PutTransientParts(key(appendDeferKey(s.keyBuf[:0], deferBase+uint64(i))), off[:], p.data)
 	}
-	for _, k := range s.pendingDels {
-		batch.DeleteTransient(k)
+	for _, seq := range s.pendingDels {
+		batch.DeleteTransient(key(appendDeferKey(s.keyBuf[:0], seq)))
 	}
 
 	// Aligned data goes straight to the data area, concurrently with the
@@ -421,11 +461,15 @@ func (s *Store) applyLocked(at vtime.Time, obj string, txn *Txn) (vtime.Time, er
 	}
 
 	// Durability point: the WAL append inside kv.Apply.
-	commitEnd, err := s.kv.Apply(at, &batch)
+	commitEnd, err := s.kv.Apply(at, batch)
 	if err != nil {
 		return at, err
 	}
 	s.pendingDels = s.pendingDels[:0]
+	// The onode is durable from here on, whatever becomes of the deferred
+	// spans below (recovery replays them): the object exists and, if it
+	// is new, its capacity is taken.
+	s.commitObject(obj, oi)
 
 	// Apply sub-sector spans via read-modify-write after commit.
 	applyEnd := commitEnd
@@ -437,10 +481,9 @@ func (s *Store) applyLocked(at vtime.Time, obj string, txn *Txn) (vtime.Time, er
 		applyEnd = vtime.Max(applyEnd, e)
 		s.stats.DeferredWrites++
 		s.stats.BytesWritten += int64(len(p.data))
-		s.pendingDels = append(s.pendingDels, deferKey(deferBase+uint64(i)))
+		s.pendingDels = append(s.pendingDels, deferBase+uint64(i))
 	}
 
-	s.objects[obj] = oi
 	s.stats.Txns++
 	return vtime.MaxAll(dataEnd, commitEnd, applyEnd), nil
 }
@@ -624,7 +667,7 @@ func (s *Store) Clone(at vtime.Time, src, dst string) (vtime.Time, error) {
 	if _, ok := s.objects[dst]; ok {
 		return at, fmt.Errorf("%w: %q", ErrExists, dst)
 	}
-	doi, err := s.allocate(dst)
+	doi, err := s.place()
 	if err != nil {
 		return at, err
 	}
@@ -653,7 +696,8 @@ func (s *Store) Clone(at vtime.Time, src, dst string) (vtime.Time, error) {
 	}
 
 	var batch kvstore.Batch
-	batch.Put([]byte(nsObject+dst), doi.marshal())
+	onode := doi.marshal()
+	batch.Put([]byte(nsObject+dst), onode[:])
 	// Copy attrs and omap.
 	attrs, end, err := s.kv.Scan(end, []byte(nsAttr+src+"\x00"), append([]byte(nsAttr+src), 1), 0)
 	if err != nil {
@@ -675,6 +719,6 @@ func (s *Store) Clone(at vtime.Time, src, dst string) (vtime.Time, error) {
 	if err != nil {
 		return at, err
 	}
-	s.objects[dst] = doi
+	s.commitObject(dst, doi)
 	return end, nil
 }

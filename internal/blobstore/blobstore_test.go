@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/kvstore"
 	"repro/internal/simdisk"
 )
 
@@ -527,5 +528,122 @@ func TestRandomizedDataModel(t *testing.T) {
 				t.Fatalf("step %d: reopen: %v", step, err)
 			}
 		}
+	}
+}
+
+// TestFailedCreateDoesNotLeakCapacity: a transaction that would create an
+// object and is then refused, or fails to commit, must not keep the
+// capacity it was placed in. The frontier used to move before the writes
+// were validated, so 48 out-of-bounds writes to 48 new names filled the
+// 64 MiB test store with nothing to show for it.
+func TestFailedCreateDoesNotLeakCapacity(t *testing.T) {
+	s, _ := testStore(t)
+	start := s.frontier
+	for i := 0; i < 48; i++ {
+		name := fmt.Sprintf("refused%02d", i)
+		txn := NewTxn()
+		switch i % 3 {
+		case 0: // beyond capacity
+			txn.Writes = append(txn.Writes, DataWrite{Off: 1 << 20, Data: []byte{1}})
+		case 1:
+			txn.Truncate = 1<<20 + 1
+		case 2: // the aligned data is on the device when the commit fails: the batch is larger than the log
+			txn.Writes = append(txn.Writes, DataWrite{Off: 0, Data: make([]byte, simdisk.SectorSize)})
+			txn.AttrSet = append(txn.AttrSet, KVPair{Key: []byte("a"), Value: make([]byte, 2<<20)})
+		}
+		if _, err := s.Apply(0, name, txn); err == nil || (i%3 != 2 && !errors.Is(err, ErrBounds)) {
+			t.Fatalf("create %d: err = %v, want a refusal", i, err)
+		}
+		if s.Exists(name) {
+			t.Fatalf("refused create %d left an object", i)
+		}
+	}
+	if got := s.List(); len(got) != 0 {
+		t.Fatalf("objects after refused creates: %v", got)
+	}
+	writeTxn(t, s, "kept", 0, []byte("data"))
+	if want := start + (1<<20)/simdisk.SectorSize; s.frontier != want {
+		t.Fatalf("frontier %d after one create, want %d (started at %d)", s.frontier, want, start)
+	}
+	if got := readObj(t, s, "kept", 0, 4); string(got) != "data" {
+		t.Fatalf("kept = %q", got)
+	}
+}
+
+// TestOversizedKeyLeavesObjectUntouched: a transaction whose staged key
+// the metadata store cannot encode comes back with the typed error
+// before any data-area write, so an existing object keeps its data,
+// size, OMAP and version.
+func TestOversizedKeyLeavesObjectUntouched(t *testing.T) {
+	s, d := testStore(t)
+	old := bytes.Repeat([]byte{0x11}, 2*simdisk.SectorSize)
+	txn := NewTxn()
+	txn.Writes = append(txn.Writes, DataWrite{Off: 0, Data: old})
+	txn.OmapSet = append(txn.OmapSet, KVPair{Key: []byte("iv"), Value: []byte("old")})
+	if _, err := s.Apply(0, "obj", txn); err != nil {
+		t.Fatal(err)
+	}
+	before, writes := s.objects["obj"], d.Stats().WriteOps
+
+	longest := maxKeyLen - len(nsOmap) - len("obj") - 1 // the OMAP key that still fits
+	for _, tc := range []struct {
+		klen int
+		ok   bool
+	}{{longest + 1, false}, {70000, false}, {longest, true}} {
+		txn := NewTxn()
+		txn.Writes = append(txn.Writes, DataWrite{Off: 0, Data: bytes.Repeat([]byte{0x22}, 3*simdisk.SectorSize)})
+		txn.OmapSet = append(txn.OmapSet,
+			KVPair{Key: []byte("iv"), Value: []byte("new")},
+			KVPair{Key: bytes.Repeat([]byte{'k'}, tc.klen), Value: []byte("v")})
+		_, err := s.Apply(0, "obj", txn)
+		if tc.ok {
+			if err != nil {
+				t.Fatalf("%d-byte OMAP key: %v", tc.klen, err)
+			}
+			continue
+		}
+		if !errors.Is(err, kvstore.ErrEntryTooLarge) {
+			t.Fatalf("%d-byte OMAP key: err = %v, want ErrEntryTooLarge", tc.klen, err)
+		}
+		if s.objects["obj"] != before || d.Stats().WriteOps != writes {
+			t.Fatalf("%d-byte OMAP key: refused transaction touched the object (%+v -> %+v, %d device writes)",
+				tc.klen, before, s.objects["obj"], d.Stats().WriteOps-writes)
+		}
+		if got := readObj(t, s, "obj", 0, len(old)); !bytes.Equal(got, old) {
+			t.Fatalf("%d-byte OMAP key: data changed", tc.klen)
+		}
+		if v, ok, _, _ := s.OmapGet(0, "obj", []byte("iv")); !ok || string(v) != "old" {
+			t.Fatalf("%d-byte OMAP key: iv = %q,%v", tc.klen, v, ok)
+		}
+	}
+	if v, ok, _, _ := s.OmapGet(0, "obj", []byte("iv")); !ok || string(v) != "new" {
+		t.Fatalf("after the fitting key: iv = %q,%v", v, ok)
+	}
+}
+
+// TestApplyAllocBudget pins what one OMAP-layout write costs the store: a
+// 64 KiB aligned write, 16 OMAP pairs and the snapset attribute through
+// Apply on a warmed store. The transaction is staged in the store's
+// reused batch and key buffer and committed through kvstore's reused
+// scratch, so nothing here is per pair.
+func TestApplyAllocBudget(t *testing.T) {
+	s, _ := testStore(t)
+	txn := NewTxn()
+	txn.Writes = append(txn.Writes, DataWrite{Off: 64 << 10, Data: make([]byte, 64<<10)})
+	for i := 0; i < 16; i++ {
+		txn.OmapSet = append(txn.OmapSet, KVPair{Key: []byte{0, 0, 0, 0, 0, 0, 0, byte(16 + i)}, Value: make([]byte, 32)})
+	}
+	txn.AttrSet = append(txn.AttrSet, KVPair{Key: []byte("rados.snapset"), Value: make([]byte, 20)})
+	apply := func() {
+		if _, err := s.Apply(0, "rbd_data.0000000000000001", txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		apply()
+	}
+	const budget = 0
+	if got := testing.AllocsPerRun(200, apply); got > budget {
+		t.Errorf("64 KiB + 16 pairs + snapset Apply: %.0f allocs/op, budget %d", got, budget)
 	}
 }

@@ -66,12 +66,9 @@ func (f *bloomFilter) mayContain(key []byte) bool {
 	return true
 }
 
-// marshal serializes the filter as [k u8][bits...].
-func (f *bloomFilter) marshal() []byte {
-	out := make([]byte, 1+len(f.bits))
-	out[0] = byte(f.k)
-	copy(out[1:], f.bits)
-	return out
+// appendTo serializes the filter as [k u8][bits...] onto b.
+func (f *bloomFilter) appendTo(b []byte) []byte {
+	return append(append(b, f.k), f.bits...)
 }
 
 func unmarshalBloom(b []byte) *bloomFilter {

@@ -15,7 +15,10 @@ const (
 
 // memEntry is a memtable record. The memtable keeps only the latest write
 // per user key (the store does not expose point-in-time snapshots, so
-// shadowed versions are dropped eagerly).
+// shadowed versions are dropped eagerly). Outside a container key and
+// value are views of whatever the entry was read from (a batch arena, a
+// decoded block, the WAL region, memtable storage) and live as long as
+// that does.
 type memEntry struct {
 	key   []byte
 	value []byte
@@ -23,19 +26,31 @@ type memEntry struct {
 	kind  entryKind
 }
 
-const maxHeight = 12
+const (
+	maxHeight = 12
+	// The memtable copies every key and value into chunks of this size
+	// and takes its nodes from slabs of this many; both die with the
+	// memtable when a flush swaps it out.
+	memChunkBytes = 32 << 10
+	nodeSlabLen   = 128
+)
 
-// memtable is a skiplist keyed by user key. It is not safe for concurrent
-// use; the Store serializes access.
+// memtable is a skiplist keyed by user key. It owns the bytes of its
+// entries: set copies them in, and the views get and iter hand out are
+// valid only until the next set (a replace may overwrite the value in
+// place). It is not safe for concurrent use; the Store serializes access.
 type memtable struct {
 	head  *skipNode
 	rng   *rand.Rand
-	size  int64 // approximate bytes of live keys+values
+	size  int64 // approximate bytes of live keys+values, plus relocated values' dead slots
 	count int
+	owned int64 // bytes handed out by alloc
+	chunk []byte
+	slab  []skipNode
 }
 
 type skipNode struct {
-	entry memEntry
+	entry memEntry // value's capacity is the size of its slot
 	next  [maxHeight]*skipNode
 	level int
 }
@@ -55,6 +70,26 @@ func (m *memtable) randomLevel() int {
 	return l
 }
 
+// alloc returns n bytes of chunk storage, capped so that an append to
+// the result cannot reach a neighbour.
+func (m *memtable) alloc(n int) []byte {
+	if n > cap(m.chunk)-len(m.chunk) {
+		m.chunk = make([]byte, 0, max(n, memChunkBytes))
+	}
+	off := len(m.chunk)
+	m.chunk = m.chunk[:off+n]
+	m.owned += int64(n)
+	return m.chunk[off : off+n : off+n]
+}
+
+func (m *memtable) newNode() *skipNode {
+	if len(m.slab) == cap(m.slab) {
+		m.slab = make([]skipNode, 0, nodeSlabLen)
+	}
+	m.slab = m.slab[:len(m.slab)+1]
+	return &m.slab[len(m.slab)-1]
+}
+
 // findGE returns the first node with key >= key, filling prev with the
 // rightmost node before it on every level.
 func (m *memtable) findGE(key []byte, prev *[maxHeight]*skipNode) *skipNode {
@@ -70,16 +105,35 @@ func (m *memtable) findGE(key []byte, prev *[maxHeight]*skipNode) *skipNode {
 	return n.next[0]
 }
 
-// set inserts or replaces the entry for key.
+// set inserts or replaces the entry for key, copying e's bytes. A
+// replacing value that fits the key's slot is written in place; one that
+// does not takes a new slot, and the abandoned one keeps counting toward
+// size so that a key rewritten ever larger still fills the memtable.
 func (m *memtable) set(e memEntry) {
 	var prev [maxHeight]*skipNode
 	n := m.findGE(e.key, &prev)
 	if n != nil && bytes.Equal(n.entry.key, e.key) {
-		m.size += int64(len(e.value)) - int64(len(n.entry.value))
-		n.entry = e
+		old := &n.entry
+		m.size += int64(len(e.value)) - int64(len(old.value))
+		if len(e.value) > cap(old.value) {
+			m.size += int64(cap(old.value))
+			old.value = m.alloc(len(e.value))
+		}
+		old.value = old.value[:len(e.value)]
+		copy(old.value, e.value)
+		old.seq, old.kind = e.seq, e.kind
 		return
 	}
-	node := &skipNode{entry: e, level: m.randomLevel()}
+	node := m.newNode()
+	node.level = m.randomLevel()
+	buf := m.alloc(len(e.key) + len(e.value))
+	copy(buf[copy(buf, e.key):], e.value)
+	node.entry = memEntry{
+		key:   buf[:len(e.key):len(e.key)],
+		value: buf[len(e.key):],
+		seq:   e.seq,
+		kind:  e.kind,
+	}
 	for lvl := 0; lvl < node.level; lvl++ {
 		node.next[lvl] = prev[lvl].next[lvl]
 		prev[lvl].next[lvl] = node

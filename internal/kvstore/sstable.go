@@ -18,15 +18,20 @@ type File interface {
 	Size() int64
 }
 
-// ErrCorrupt reports an on-media structure that failed validation.
-var ErrCorrupt = errors.New("kvstore: corrupt structure")
+var (
+	// ErrCorrupt reports an on-media structure that failed validation.
+	ErrCorrupt = errors.New("kvstore: corrupt structure")
+	// ErrEntryTooLarge reports a batch holding a key or value the entry
+	// encoding cannot represent. Apply refuses the whole batch.
+	ErrEntryTooLarge = errors.New("kvstore: entry too large")
+)
 
 const (
 	tableMagic    = 0x53535442 // "SSTB"
 	tableVersion  = 1
 	footerSize    = 48
-	maxEntryKey   = 1 << 16
-	maxEntryValue = 1 << 30
+	maxEntryKey   = 1 << 16 // key lengths are encoded in 16 bits: exclusive
+	maxEntryValue = 1 << 30 // inclusive
 )
 
 // cursor threads virtual time through a chain of dependent media reads.
@@ -40,8 +45,11 @@ func (c *cursor) advance(t vtime.Time) {
 
 // ---- entry encoding (shared by WAL and SSTable blocks) ----
 
-func encodedEntrySize(e memEntry) int { return 1 + 2 + 4 + len(e.key) + len(e.value) }
+const entryHeaderSize = 1 + 2 + 4
 
+// appendEntry encodes e. Apply has checked the lengths against
+// maxEntryKey and maxEntryValue; every other caller re-encodes entries
+// that were decoded from this form.
 func appendEntry(buf []byte, e memEntry) []byte {
 	buf = append(buf, byte(e.kind))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.key)))
@@ -51,8 +59,10 @@ func appendEntry(buf []byte, e memEntry) []byte {
 	return buf
 }
 
+// decodeEntry parses one entry. The key and value it returns are views
+// of b, capped so that an append cannot reach the bytes behind them.
 func decodeEntry(b []byte) (e memEntry, n int, err error) {
-	if len(b) < 7 {
+	if len(b) < entryHeaderSize {
 		return e, 0, fmt.Errorf("%w: truncated entry header", ErrCorrupt)
 	}
 	e.kind = entryKind(b[0])
@@ -64,12 +74,13 @@ func decodeEntry(b []byte) (e memEntry, n int, err error) {
 	if vlen > maxEntryValue {
 		return e, 0, fmt.Errorf("%w: oversized value", ErrCorrupt)
 	}
-	n = 7 + klen + vlen
+	v := entryHeaderSize + klen
+	n = v + vlen
 	if len(b) < n {
 		return e, 0, fmt.Errorf("%w: truncated entry body", ErrCorrupt)
 	}
-	e.key = append([]byte(nil), b[7:7+klen]...)
-	e.value = append([]byte(nil), b[7+klen:n]...)
+	e.key = b[entryHeaderSize:v:v]
+	e.value = b[v:n:n]
 	return e, n, nil
 }
 
@@ -97,45 +108,52 @@ type table struct {
 
 // buildTable serializes sorted entries (no duplicate keys) into segment
 // bytes and returns the parsed table (with segOff unset; the store fills
-// it after allocating a segment).
+// it after allocating a segment). It copies what it keeps, so the entries
+// may be views.
 func buildTable(entries []memEntry, blockBytes, bloomBitsPerKey int) (*table, []byte) {
 	if blockBytes <= 0 {
 		blockBytes = 4096
 	}
 	t := &table{numEntries: int64(len(entries))}
 	bloom := newBloom(len(entries), bloomBitsPerKey)
-	var seg []byte
-	var blockBuf []byte
-	var blockCount uint32
-	var blockFirst []byte
+	// Size the segment image once. A closed block holds at least
+	// blockBytes of entries, so data/blockBytes+1 bounds the block count.
+	data, longestKey := 0, 0
+	for _, e := range entries {
+		data += entryHeaderSize + len(e.key) + len(e.value)
+		longestKey = max(longestKey, len(e.key))
+	}
+	blocks := data/blockBytes + 1
+	perBlock := 4 + 14 + longestKey   // entry count; index record + first key
+	indexHead := 2*(2+longestKey) + 4 // min key, max key, block count
+	filter := 1 + len(bloom.bits)     // k, bits
+	seg := make([]byte, 0, data+blocks*perBlock+indexHead+filter+footerSize)
 
-	flushBlock := func() {
+	// Each block is written straight into the segment image: its entry
+	// count is reserved up front and patched when the block closes.
+	blockStart, blockCount := 0, uint32(0)
+	closeBlock := func() {
 		if blockCount == 0 {
 			return
 		}
-		hdr := binary.LittleEndian.AppendUint32(nil, blockCount)
-		block := append(hdr, blockBuf...)
-		t.index = append(t.index, blockMeta{
-			off:      int64(len(seg)),
-			length:   int32(len(block)),
-			firstKey: blockFirst,
-		})
-		seg = append(seg, block...)
-		blockBuf, blockCount, blockFirst = nil, 0, nil
+		binary.LittleEndian.PutUint32(seg[blockStart:], blockCount)
+		t.index[len(t.index)-1].length = int32(len(seg) - blockStart)
+		blockCount = 0
 	}
-
 	for _, e := range entries {
 		bloom.add(e.key)
 		if blockCount == 0 {
-			blockFirst = append([]byte(nil), e.key...)
+			blockStart = len(seg)
+			t.index = append(t.index, blockMeta{off: int64(blockStart), firstKey: append([]byte(nil), e.key...)})
+			seg = append(seg, 0, 0, 0, 0)
 		}
-		blockBuf = appendEntry(blockBuf, e)
+		seg = appendEntry(seg, e)
 		blockCount++
-		if len(blockBuf) >= blockBytes {
-			flushBlock()
+		if len(seg)-blockStart-4 >= blockBytes {
+			closeBlock()
 		}
 	}
-	flushBlock()
+	closeBlock()
 
 	if len(entries) > 0 {
 		t.minKey = append([]byte(nil), entries[0].key...)
@@ -144,40 +162,33 @@ func buildTable(entries []memEntry, blockBytes, bloomBitsPerKey int) (*table, []
 	t.bloom = bloom
 
 	// Index section.
-	indexOff := int64(len(seg))
-	var idx []byte
-	idx = binary.LittleEndian.AppendUint16(idx, uint16(len(t.minKey)))
-	idx = append(idx, t.minKey...)
-	idx = binary.LittleEndian.AppendUint16(idx, uint16(len(t.maxKey)))
-	idx = append(idx, t.maxKey...)
-	idx = binary.LittleEndian.AppendUint32(idx, uint32(len(t.index)))
+	indexOff := len(seg)
+	seg = binary.LittleEndian.AppendUint16(seg, uint16(len(t.minKey)))
+	seg = append(seg, t.minKey...)
+	seg = binary.LittleEndian.AppendUint16(seg, uint16(len(t.maxKey)))
+	seg = append(seg, t.maxKey...)
+	seg = binary.LittleEndian.AppendUint32(seg, uint32(len(t.index)))
 	for _, bm := range t.index {
-		idx = binary.LittleEndian.AppendUint64(idx, uint64(bm.off))
-		idx = binary.LittleEndian.AppendUint32(idx, uint32(bm.length))
-		idx = binary.LittleEndian.AppendUint16(idx, uint16(len(bm.firstKey)))
-		idx = append(idx, bm.firstKey...)
+		seg = binary.LittleEndian.AppendUint64(seg, uint64(bm.off))
+		seg = binary.LittleEndian.AppendUint32(seg, uint32(bm.length))
+		seg = binary.LittleEndian.AppendUint16(seg, uint16(len(bm.firstKey)))
+		seg = append(seg, bm.firstKey...)
 	}
-	seg = append(seg, idx...)
 
-	bloomOff := int64(len(seg))
-	bl := bloom.marshal()
-	seg = append(seg, bl...)
+	bloomOff := len(seg)
+	seg = bloom.appendTo(seg)
 
-	// Footer.
-	footer := make([]byte, 0, footerSize)
-	footer = binary.LittleEndian.AppendUint32(footer, tableMagic)
-	footer = binary.LittleEndian.AppendUint32(footer, tableVersion)
-	footer = binary.LittleEndian.AppendUint64(footer, uint64(indexOff))
-	footer = binary.LittleEndian.AppendUint32(footer, uint32(len(idx)))
-	footer = binary.LittleEndian.AppendUint64(footer, uint64(bloomOff))
-	footer = binary.LittleEndian.AppendUint32(footer, uint32(len(bl)))
-	footer = binary.LittleEndian.AppendUint64(footer, uint64(len(entries)))
-	footer = binary.LittleEndian.AppendUint32(footer, crc32.ChecksumIEEE(footer))
-	footer = footer[:footerSize] // 44 used + zero pad to 48
-	for len(footer) < footerSize {
-		footer = append(footer, 0)
-	}
-	seg = append(seg, footer...)
+	// Footer: 44 bytes used, zero padded to footerSize.
+	footOff := len(seg)
+	seg = binary.LittleEndian.AppendUint32(seg, tableMagic)
+	seg = binary.LittleEndian.AppendUint32(seg, tableVersion)
+	seg = binary.LittleEndian.AppendUint64(seg, uint64(indexOff))
+	seg = binary.LittleEndian.AppendUint32(seg, uint32(bloomOff-indexOff))
+	seg = binary.LittleEndian.AppendUint64(seg, uint64(bloomOff))
+	seg = binary.LittleEndian.AppendUint32(seg, uint32(footOff-bloomOff))
+	seg = binary.LittleEndian.AppendUint64(seg, uint64(len(entries)))
+	seg = binary.LittleEndian.AppendUint32(seg, crc32.ChecksumIEEE(seg[footOff:]))
+	seg = append(seg, make([]byte, footOff+footerSize-len(seg))...)
 	t.segLen = int64(len(seg))
 	return t, seg
 }

@@ -11,6 +11,12 @@
 // made visible by an atomic single-sector superblock write, and Open
 // recovers by replaying the log, so the paper's data/IV consistency
 // requirement is testable end to end.
+//
+// Memory ownership follows one rule: bytes are copied when they enter a
+// container that outlives the call (a Batch's arena, the memtable's
+// chunks, a segment image, what Get and Scan return) and nowhere else.
+// Everything in between — decoded blocks, merge inputs, WAL replay, the
+// commit path's reused scratch — hands views around under the store lock.
 package kvstore
 
 import (
@@ -125,34 +131,47 @@ type Store struct {
 	segBase  int64
 	wal      *wal
 	writer   *vtime.Resource // single-threaded ingest path
+	payload  []byte          // Apply's encoded batch, reused under mu
 	stats    Stats
 }
 
-// Batch is an atomically-applied set of puts and deletes.
+// Batch is an atomically-applied set of puts and deletes. It owns one
+// arena holding every staged key and value back to back, so staging
+// allocates only when the arena grows; the zero value is ready to use,
+// Reset empties a batch keeping its storage, and Apply only reads it, so
+// a batch can be applied again.
 type Batch struct {
-	entries   []memEntry
-	bytes     int
+	arena     []byte
+	ops       []batchOp
 	transient int // entries exempt from the ingest charge
 }
 
-// Put stages key=value. The batch copies both slices.
-func (b *Batch) Put(key, value []byte) {
-	b.entries = append(b.entries, memEntry{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-		kind:  kindPut,
-	})
-	b.bytes += len(key) + len(value)
+// batchOp locates one staged entry: the key at arena[off:off+klen] and
+// the value right behind it. Offsets, not slices, because the arena moves
+// when it grows.
+type batchOp struct {
+	off, klen, vlen int
+	kind            entryKind
 }
 
-// Delete stages a tombstone for key.
-func (b *Batch) Delete(key []byte) {
-	b.entries = append(b.entries, memEntry{
-		key:  append([]byte(nil), key...),
-		kind: kindDelete,
-	})
-	b.bytes += len(key)
+func (b *Batch) stage(kind entryKind, key, head, tail []byte) {
+	b.ops = append(b.ops, batchOp{off: len(b.arena), klen: len(key), vlen: len(head) + len(tail), kind: kind})
+	b.arena = append(append(append(b.arena, key...), head...), tail...)
 }
+
+// entry returns a view of staged entry i, valid until the batch is next
+// staged into or reset.
+func (b *Batch) entry(i int) memEntry {
+	op := b.ops[i]
+	v := op.off + op.klen
+	return memEntry{key: b.arena[op.off:v:v], value: b.arena[v : v+op.vlen : v+op.vlen], kind: op.kind}
+}
+
+// Put stages key=value. The batch copies both slices.
+func (b *Batch) Put(key, value []byte) { b.stage(kindPut, key, value, nil) }
+
+// Delete stages a tombstone for key.
+func (b *Batch) Delete(key []byte) { b.stage(kindDelete, key, nil, nil) }
 
 // PutTransient stages key=value exempt from the per-entry ingest charge.
 // Use it for short-lived records (journal payloads and their cleanup
@@ -163,17 +182,29 @@ func (b *Batch) PutTransient(key, value []byte) {
 	b.transient++
 }
 
+// PutTransientParts is PutTransient for a value the caller holds in two
+// pieces (a header and a payload), saving it the joined copy.
+func (b *Batch) PutTransientParts(key, head, tail []byte) {
+	b.stage(kindPut, key, head, tail)
+	b.transient++
+}
+
 // DeleteTransient stages a tombstone exempt from the ingest charge.
 func (b *Batch) DeleteTransient(key []byte) {
 	b.Delete(key)
 	b.transient++
 }
 
+// Reset empties the batch and keeps its storage for the next staging.
+func (b *Batch) Reset() {
+	b.arena, b.ops, b.transient = b.arena[:0], b.ops[:0], 0
+}
+
 // Len returns the number of staged operations.
-func (b *Batch) Len() int { return len(b.entries) }
+func (b *Batch) Len() int { return len(b.ops) }
 
 // Bytes returns the approximate payload size of the batch.
-func (b *Batch) Bytes() int { return b.bytes }
+func (b *Batch) Bytes() int { return len(b.arena) }
 
 // Open loads the store from file, recovering committed state, or formats a
 // fresh store when the superblock is absent or invalid.
@@ -318,21 +349,30 @@ func (s *Store) Apply(at vtime.Time, b *Batch) (vtime.Time, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
+	// Nothing is charged, logged or inserted before every entry is known
+	// to survive the entry encoding.
+	for i, op := range b.ops {
+		if op.klen >= maxEntryKey || op.vlen > maxEntryValue {
+			return at, fmt.Errorf("%w: entry %d has a %d-byte key and a %d-byte value", ErrEntryTooLarge, i, op.klen, op.vlen)
+		}
+	}
 	at = s.chargeCPU(at, b.Len(), s.cfg.CPUPerEntryWrite)
 
-	payload := make([]byte, 0, b.bytes+8*b.Len())
-	for _, e := range b.entries {
-		payload = appendEntry(payload, e)
-	}
-	if !s.wal.fits(len(payload)) {
+	payloadLen := b.Bytes() + entryHeaderSize*b.Len()
+	if !s.wal.fits(payloadLen) {
 		// Rotate the log by flushing; background time charge.
 		if err := s.flushLocked(&cursor{at: at}); err != nil {
 			return at, err
 		}
-		if !s.wal.fits(len(payload)) {
-			return at, fmt.Errorf("kvstore: batch of %d bytes exceeds wal size %d", len(payload), s.cfg.WALBytes)
+		if !s.wal.fits(payloadLen) {
+			return at, fmt.Errorf("kvstore: batch of %d bytes exceeds wal size %d", payloadLen, s.cfg.WALBytes)
 		}
 	}
+	payload := s.payload[:0]
+	for i := range b.ops {
+		payload = appendEntry(payload, b.entry(i))
+	}
+	s.payload = payload
 	seqBase := s.seq
 	end, err := s.wal.append(at, seqBase, uint32(b.Len()), payload)
 	if err != nil {
@@ -341,7 +381,8 @@ func (s *Store) Apply(at vtime.Time, b *Batch) (vtime.Time, error) {
 	if n := b.Len() - b.transient; n > 0 && s.cfg.IngestPerEntry > 0 {
 		end = s.writer.Use(end, time.Duration(n)*s.cfg.IngestPerEntry)
 	}
-	for i, e := range b.entries {
+	for i := range b.ops {
+		e := b.entry(i)
 		e.seq = seqBase + uint64(i)
 		s.mem.set(e)
 	}
@@ -381,7 +422,7 @@ func (s *Store) Get(at vtime.Time, key []byte) ([]byte, bool, vtime.Time, error)
 				if e.kind == kindDelete {
 					return nil, false, c.at, nil
 				}
-				return e.value, true, c.at, nil
+				return append([]byte(nil), e.value...), true, c.at, nil
 			}
 		}
 	}
@@ -593,18 +634,22 @@ func (s *Store) compactLocked(c *cursor) error {
 // A nil result means everything merged away (all tombstones dropped).
 func (s *Store) mergeTables(c *cursor, tables []*table, dropTombstones bool) (*table, error) {
 	sources := make([]iterator, 0, len(tables))
+	var total int64
 	for _, t := range tables {
 		ti, err := newTableIter(c, t, nil)
 		if err != nil {
 			return nil, err
 		}
 		sources = append(sources, ti)
+		total += t.numEntries
 	}
 	it, err := newMergeIter(sources)
 	if err != nil {
 		return nil, err
 	}
-	var entries []memEntry
+	// The entries are views of the blocks the iterators decoded, which
+	// stay reachable through them until writeTable has copied them out.
+	entries := make([]memEntry, 0, total)
 	for it.valid() {
 		e := it.entry()
 		if !(dropTombstones && e.kind == kindDelete) {

@@ -2,8 +2,10 @@ package kvstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/simdisk"
@@ -353,7 +355,12 @@ func TestVirtualTimeAdvancesOnApply(t *testing.T) {
 
 // Model-based randomized test: the store must agree with a map through an
 // arbitrary interleaving of batched puts/deletes, flushes, scans and
-// reopens.
+// reopens. It also holds the store to its ownership rule from outside:
+// the one batch and the key and value buffers every write is staged from
+// are reused and scribbled over after each Apply, half of what Get and
+// Scan return is scribbled over at once (the store must not notice) and
+// the other half is kept and compared at the end (the store must not
+// have touched it).
 func TestRandomizedAgainstModel(t *testing.T) {
 	f := newTestFile(t, 128)
 	cfg := smallConfig()
@@ -362,24 +369,49 @@ func TestRandomizedAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	key := func() string { return fmt.Sprintf("key%03d", rng.Intn(300)) }
 
+	type held struct{ got, want []byte }
+	var kept []held
+	returned := func(p []byte) {
+		if rng.Intn(2) == 0 {
+			kept = append(kept, held{p, append([]byte(nil), p...)})
+			return
+		}
+		for i := range p {
+			p[i] ^= 0xFF
+		}
+	}
+	var (
+		b          Batch
+		kbuf, vbuf []byte
+	)
 	for step := 0; step < 4000; step++ {
 		switch op := rng.Intn(100); {
 		case op < 55: // batch write
-			var b Batch
+			b.Reset()
 			n := 1 + rng.Intn(8)
 			for i := 0; i < n; i++ {
 				k := key()
+				kbuf = append(kbuf[:0], k...)
 				if rng.Intn(5) == 0 {
-					b.Delete([]byte(k))
+					b.Delete(kbuf)
 					delete(model, k)
 				} else {
-					v := fmt.Sprintf("v%d", rng.Int63())
-					b.Put([]byte(k), []byte(v))
+					// 1 to ~600 bytes: shorter, equal and longer than
+					// what the key held before.
+					v := fmt.Sprintf("v%d.%s", rng.Int63(), strings.Repeat("x", rng.Intn(1+rng.Intn(600))))
+					vbuf = append(vbuf[:0], v...)
+					b.Put(kbuf, vbuf)
 					model[k] = v
 				}
 			}
 			if _, err := s.Apply(0, &b); err != nil {
 				t.Fatalf("step %d: %v", step, err)
+			}
+			for i := range kbuf {
+				kbuf[i] = '!'
+			}
+			for i := range vbuf {
+				vbuf[i] = '!'
 			}
 		case op < 85: // point lookup
 			k := key()
@@ -389,8 +421,9 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			}
 			want, wantOK := model[k]
 			if ok != wantOK || (ok && string(v) != want) {
-				t.Fatalf("step %d: Get(%q) = %q,%v want %q,%v", step, k, v, ok, want, wantOK)
+				t.Fatalf("step %d: Get(%q) = %.40q,%v want %.40q,%v", step, k, v, ok, want, wantOK)
 			}
+			returned(v)
 		case op < 95: // range scan
 			lo := fmt.Sprintf("key%03d", rng.Intn(300))
 			hi := fmt.Sprintf("key%03d", rng.Intn(300))
@@ -410,12 +443,36 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			if len(kvs) != count {
 				t.Fatalf("step %d: scan[%q,%q) = %d want %d", step, lo, hi, len(kvs), count)
 			}
+			for _, kv := range kvs {
+				if want := model[string(kv.Key)]; string(kv.Value) != want {
+					t.Fatalf("step %d: scan %q = %.40q want %.40q", step, kv.Key, kv.Value, want)
+				}
+				returned(kv.Key)
+				returned(kv.Value)
+			}
 		case op < 98: // forced flush
 			if _, err := s.Flush(0); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 		default: // reopen (recovery)
 			s = mustOpen(t, f, cfg)
+		}
+	}
+	for i, h := range kept {
+		if !bytes.Equal(h.got, h.want) {
+			t.Fatalf("returned slice %d changed after the call: %.40q, was %.40q", i, h.got, h.want)
+		}
+	}
+	kvs, _, err := s.Scan(0, nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kvs) != len(model) {
+		t.Fatalf("final scan: %d pairs, model has %d", len(kvs), len(model))
+	}
+	for _, kv := range kvs {
+		if want := model[string(kv.Key)]; string(kv.Value) != want {
+			t.Fatalf("final scan: %q = %.40q want %.40q", kv.Key, kv.Value, want)
 		}
 	}
 }
@@ -529,5 +586,131 @@ func TestOpenRejectsTinyFile(t *testing.T) {
 	f := simdisk.NewPartition(d, 0, 4)
 	if _, _, err := Open(0, f, smallConfig()); err == nil {
 		t.Fatal("expected size rejection")
+	}
+}
+
+// TestApplyAllocBudget pins the commit path's allocations where they are
+// spent: on a warmed store, applying a reused 18-entry batch (the OMAP
+// write's onode + snapset + 16 pairs) stages into the batch arena, the
+// store's payload buffer, the WAL's sector image and the memtable's
+// chunks and slabs, none of which is per key. What is left is a new
+// chunk or slab every few hundred entries.
+func TestApplyAllocBudget(t *testing.T) {
+	cfg := smallConfig()
+	cfg.MemtableBytes = 4 << 20 // no flush inside the measured runs
+	cfg.WALBytes = 8 << 20
+	s := mustOpen(t, newTestFile(t, 64), cfg)
+	var b Batch
+	key := []byte("M/rbd_data.0000000000000001\x00........")
+	val := make([]byte, 32)
+	n := 0
+	apply := func() {
+		b.Reset()
+		for i := 0; i < 18; i++ {
+			n++
+			key[len(key)-1], key[len(key)-2] = byte(n), byte(n>>8) // 4096 keys, then overwrites
+			b.Put(key, val)
+		}
+		if _, err := s.Apply(0, &b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		apply()
+	}
+	if got := testing.AllocsPerRun(400, apply); got > 1 {
+		t.Errorf("18-entry Apply: %.2f allocs/op, budget 1", got)
+	}
+}
+
+// TestWALTailAcrossSectors appends records of 1 to 3x4096 value bytes
+// through the WAL's one reused sector image — inside the tail sector's
+// free space, across one, two and three boundaries, and every fourth one
+// sized to end exactly on a boundary — and reopens after each: replay
+// must find every batch so far, and the reopened log must extend the
+// tail it rebuilt.
+func TestWALTailAcrossSectors(t *testing.T) {
+	cfg := smallConfig()
+	cfg.MemtableBytes = 8 << 20 // nothing flushes, so the log is never reset
+	cfg.WALBytes = 1 << 20
+	f := newTestFile(t, 16)
+	s := mustOpen(t, f, cfg)
+	rng := rand.New(rand.NewSource(3))
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%02d", i)) }
+	var sizes []int
+	for i := 0; i < 48; i++ {
+		size := 1 + rng.Intn(3*walSectorSize)
+		if i%4 == 3 {
+			used := int(s.wal.writeOff%walSectorSize) + walHeaderSize + entryHeaderSize + len(key(i))
+			size = 2*walSectorSize - used%walSectorSize
+		}
+		sizes = append(sizes, size)
+		var b Batch
+		b.Put(key(i), bytes.Repeat([]byte{byte(i + 1)}, size))
+		if _, err := s.Apply(0, &b); err != nil {
+			t.Fatalf("record %d (%d bytes): %v", i, size, err)
+		}
+		if i%4 == 3 && s.wal.writeOff%walSectorSize != 0 {
+			t.Fatalf("record %d was sized to end on a sector boundary, log ends at %d", i, s.wal.writeOff)
+		}
+		s = mustOpen(t, f, cfg)
+		for j := 0; j <= i; j++ {
+			v, ok, _, err := s.Get(0, key(j))
+			if err != nil || !ok || !bytes.Equal(v, bytes.Repeat([]byte{byte(j + 1)}, sizes[j])) {
+				t.Fatalf("after record %d: record %d (%d bytes) found %v, %d bytes, err %v", i, j, sizes[j], ok, len(v), err)
+			}
+		}
+	}
+}
+
+// TestEntryTooLargeRejected: the entry encoding holds a key length in 16
+// bits. A longer key used to be acknowledged, readable until restart and
+// a different, truncated key after it; Apply now refuses the whole batch
+// before anything is logged or inserted.
+func TestEntryTooLargeRejected(t *testing.T) {
+	f := newTestFile(t, 64)
+	cfg := Config{}
+	s := mustOpen(t, f, cfg)
+	long := bytes.Repeat([]byte{'k'}, 70000)
+
+	var b Batch
+	b.Put([]byte("neighbour"), []byte("v"))
+	b.Put(long, []byte("v"))
+	before := s.Stats()
+	if _, err := s.Apply(0, &b); !errors.Is(err, ErrEntryTooLarge) {
+		t.Fatalf("70000-byte key: err = %v, want ErrEntryTooLarge", err)
+	}
+	if after := s.Stats(); after != before || s.MemtableBytes() != 0 {
+		t.Fatalf("refused batch left a trace: stats %+v -> %+v, memtable %d bytes", before, after, s.MemtableBytes())
+	}
+
+	for _, tc := range []struct {
+		klen int
+		ok   bool
+	}{{65535, true}, {65536, false}} {
+		var b Batch
+		b.Put(long[:tc.klen], []byte("edge"))
+		_, err := s.Apply(0, &b)
+		if tc.ok != (err == nil) || (!tc.ok && !errors.Is(err, ErrEntryTooLarge)) {
+			t.Fatalf("%d-byte key: err = %v, want accepted %v", tc.klen, err, tc.ok)
+		}
+	}
+
+	// What was acknowledged is the same after a restart, from the log and
+	// from a table.
+	for _, flush := range []bool{false, true} {
+		if flush {
+			if _, err := s.Flush(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s = mustOpen(t, f, cfg)
+		if v, ok := get(t, s, string(long[:65535])); !ok || v != "edge" {
+			t.Fatalf("flushed %v: 65535-byte key = %q,%v after reopen", flush, v, ok)
+		}
+		kvs, _, err := s.Scan(0, nil, nil, 0)
+		if err != nil || len(kvs) != 1 || len(kvs[0].Key) != 65535 {
+			t.Fatalf("flushed %v: scan after reopen: %d pairs, err %v", flush, len(kvs), err)
+		}
 	}
 }

@@ -16,7 +16,9 @@ import (
 //
 // Appends never read from media: the writer keeps the image of the current
 // partial tail sector in memory and always writes whole sectors, the way a
-// real log writer avoids device read-modify-writes.
+// real log writer avoids device read-modify-writes. Every append composes
+// its sectors in one reused image whose front always holds that tail; the
+// file copies what it is handed, so nothing else retains the image.
 
 const (
 	walRecordMagic = 0x57414C52 // "WALR"
@@ -36,8 +38,10 @@ type wal struct {
 	length int64 // region length (bytes, sector aligned)
 
 	epoch    uint64
-	writeOff int64  // next byte to write, relative to region start
-	tail     []byte // in-memory image of the current partial sector
+	writeOff int64 // next byte to write, relative to region start
+	// img[:writeOff%walSectorSize] is the current partial sector as it
+	// is on media; the rest is scratch for the next append.
+	img []byte
 }
 
 func newWAL(file File, off, length int64) *wal {
@@ -52,7 +56,6 @@ func newWAL(file File, off, length int64) *wal {
 func (w *wal) reset(epoch uint64) {
 	w.epoch = epoch
 	w.writeOff = 0
-	w.tail = nil
 }
 
 // fits reports whether a record with the given payload fits the region.
@@ -62,43 +65,41 @@ func (w *wal) fits(payloadLen int) bool {
 
 // append writes one record and returns its durability completion time.
 func (w *wal) append(at vtime.Time, seqBase uint64, count uint32, payload []byte) (vtime.Time, error) {
-	rec := make([]byte, 0, walHeaderSize+len(payload))
-	rec = binary.LittleEndian.AppendUint32(rec, walRecordMagic)
-	rec = binary.LittleEndian.AppendUint32(rec, 0) // crc placeholder
-	rec = binary.LittleEndian.AppendUint64(rec, w.epoch)
-	rec = binary.LittleEndian.AppendUint64(rec, seqBase)
-	rec = binary.LittleEndian.AppendUint32(rec, count)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = append(rec, payload...)
-	crc := crc32.ChecksumIEEE(rec[8:])
-	binary.LittleEndian.PutUint32(rec[4:8], crc)
-
 	if !w.fits(len(payload)) {
 		return at, errWALFull
 	}
 
 	// Compose whole sectors: remembered tail + record, padded to a sector
 	// boundary so the device never has to read-modify-write.
-	startSector := w.writeOff / walSectorSize
-	img := append(append([]byte(nil), w.tail...), rec...)
-	pad := (walSectorSize - len(img)%walSectorSize) % walSectorSize
-	img = append(img, make([]byte, pad)...)
+	tailLen := int(w.writeOff % walSectorSize)
+	recEnd := tailLen + walHeaderSize + len(payload)
+	imgLen := (recEnd + walSectorSize - 1) / walSectorSize * walSectorSize
+	if cap(w.img) < imgLen {
+		w.img = append(make([]byte, 0, imgLen), w.img[:tailLen]...)
+	}
+	img := w.img[:imgLen]
+	rec := img[tailLen:recEnd]
+	binary.LittleEndian.PutUint32(rec[0:4], walRecordMagic)
+	binary.LittleEndian.PutUint64(rec[8:16], w.epoch)
+	binary.LittleEndian.PutUint64(rec[16:24], seqBase)
+	binary.LittleEndian.PutUint32(rec[24:28], count)
+	binary.LittleEndian.PutUint32(rec[28:32], uint32(len(payload)))
+	copy(rec[walHeaderSize:], payload)
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(rec[8:]))
+	clear(img[recEnd:])
 
-	end, err := w.file.WriteAt(at, img, w.off+startSector*walSectorSize)
+	end, err := w.file.WriteAt(at, img, w.off+w.writeOff-int64(tailLen))
 	if err != nil {
 		return at, err
 	}
 	w.writeOff += int64(len(rec))
-	tailLen := int(w.writeOff % walSectorSize)
-	if tailLen == 0 {
-		w.tail = nil
-	} else {
-		w.tail = append([]byte(nil), img[len(img)-walSectorSize:][:tailLen]...)
-	}
+	copy(img, img[imgLen-walSectorSize:][:w.writeOff%walSectorSize])
 	return end, nil
 }
 
-// replayFunc receives each valid record's entries in order.
+// replayFunc receives each valid record's entries in order. The entries
+// are views of replay's region buffer and the slice is reused for the next
+// record: fn copies what it keeps.
 type replayFunc func(seqBase uint64, entries []memEntry) error
 
 // replay scans the region for records of the given epoch, invoking fn for
@@ -114,6 +115,7 @@ func (w *wal) replay(c *cursor, epoch uint64, fn replayFunc) error {
 	c.advance(end)
 
 	off := int64(0)
+	var entries []memEntry
 	for {
 		if off+walHeaderSize > w.length {
 			break
@@ -138,7 +140,7 @@ func (w *wal) replay(c *cursor, epoch uint64, fn replayFunc) error {
 			break // torn record: the batch never committed
 		}
 		payload := buf[off+walHeaderSize : off+recLen]
-		entries := make([]memEntry, 0, count)
+		entries = entries[:0]
 		p := 0
 		bad := false
 		for i := uint32(0); i < count; i++ {
@@ -160,13 +162,8 @@ func (w *wal) replay(c *cursor, epoch uint64, fn replayFunc) error {
 		off += recLen
 	}
 	w.writeOff = off
-	tailLen := int(off % walSectorSize)
-	if tailLen > 0 {
-		sec := (off / walSectorSize) * walSectorSize
-		w.tail = append([]byte(nil), buf[sec:sec+int64(tailLen)]...)
-	} else {
-		w.tail = nil
-	}
+	tailLen := off % walSectorSize
+	w.img = append(w.img[:0], buf[off-tailLen:off]...)
 	return nil
 }
 

@@ -62,6 +62,10 @@ type snapInfo struct {
 
 const snapAttr = "rados.snapset"
 
+// snapAttrKey is snapAttr as every write transaction's attribute key;
+// nothing writes to it.
+var snapAttrKey = []byte(snapAttr)
+
 func (si *snapInfo) marshal() []byte {
 	b := make([]byte, 0, 20+8*len(si.clones))
 	b = binary.LittleEndian.AppendUint64(b, si.createdSeq)
@@ -413,7 +417,25 @@ func (o *OSD) executeWrite(at vtime.Time, st *blobstore.Store, fullName string, 
 		si.lastSeq = req.SnapSeq
 	}
 
+	// Size the transaction's lists once from the op vector.
+	var nWrites, nOmapSet, nOmapDel, nAttrs int
+	for _, op := range req.Ops {
+		switch op.Kind {
+		case OpWrite:
+			nWrites++
+		case OpOmapSet:
+			nOmapSet += len(op.Pairs)
+		case OpOmapDel:
+			nOmapDel += len(op.Pairs)
+		case OpSetAttr:
+			nAttrs++
+		}
+	}
 	txn := blobstore.NewTxn()
+	txn.Writes = make([]blobstore.DataWrite, 0, nWrites)
+	txn.OmapSet = make([]blobstore.KVPair, 0, nOmapSet)
+	txn.OmapDel = make([][]byte, 0, nOmapDel)
+	txn.AttrSet = make([]blobstore.KVPair, 0, nAttrs+1) // + the snapset
 	results := make([]Result, len(req.Ops))
 	doDelete := false
 	for i, op := range req.Ops {
@@ -472,7 +494,7 @@ func (o *OSD) executeWrite(at vtime.Time, st *blobstore.Store, fullName string, 
 
 	// Persist the snapset alongside the data — same transaction, so
 	// data, metadata and IVs commit atomically.
-	txn.AttrSet = append(txn.AttrSet, blobstore.KVPair{Key: []byte(snapAttr), Value: si.marshal()})
+	txn.AttrSet = append(txn.AttrSet, blobstore.KVPair{Key: snapAttrKey, Value: si.marshal()})
 	end, err := st.Apply(at, fullName, txn)
 	if err != nil {
 		if errors.Is(err, blobstore.ErrNoSpace) {
