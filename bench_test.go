@@ -204,7 +204,7 @@ func pipelineCluster(b *testing.B, scheme core.Scheme, layout core.Layout, ephem
 	return enc, cluster.Close
 }
 
-// pipelineModes compares the serial datapath (ClientCores=1, the old
+// pipelineModes compares the serial datapath (SetParallelism(1), the old
 // per-block loop's execution model) against the parallel worker pool.
 // The ≥2x seal/open speedup for xts-rand and gcm-auth only shows on a
 // multi-core runner; on one core the two modes should be within noise

@@ -1,12 +1,7 @@
 // Command vetrepo runs the repo's invariant analyzers (see
-// internal/analysis) in two modes:
-//
-// Standalone, for developers — loads the module itself, tests included:
-//
-//	go run ./cmd/vetrepo ./...
-//
-// Vet tool, for CI and `go vet` integration — cmd/go drives the same
-// binary once per package with its build cache and export data:
+// internal/analysis) as a `go vet` tool — cmd/go loads the packages
+// (in-package and external test files included) and drives the binary
+// once per package with its build cache and export data:
 //
 //	go build -o vetrepo ./cmd/vetrepo
 //	go vet -vettool=$(pwd)/vetrepo ./...
@@ -14,8 +9,7 @@
 // cmd/go recognizes a vet tool by two contracts, both handled here: it
 // first invokes the tool with -V=full expecting a reproducible version
 // line for cache keying, then once per package with a single vet.cfg
-// path argument (see internal/analysis/unit.go). Any other argument
-// list selects standalone mode.
+// path argument (see internal/analysis/unit.go).
 package main
 
 import (
@@ -40,8 +34,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	versionFlag := fs.String("V", "", "print version and exit (cmd/go vet tool protocol; use -V=full)")
 	flagsFlag := fs.Bool("flags", false, "print the tool's analyzer flags as JSON (cmd/go vet tool protocol)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: vetrepo [packages]   (standalone; defaults to ./...)\n")
-		fmt.Fprintf(stderr, "       vetrepo <vet.cfg>    (as go vet -vettool)\n")
+		fmt.Fprintf(stderr, "usage: go vet -vettool=$(pwd)/vetrepo ./...\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -63,28 +56,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
+	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
 		return analysis.UnitMain(rest[0], suite.Analyzers, stderr)
 	}
-
-	patterns := rest
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	findings, err := analysis.RunStandalone(".", patterns, suite.Analyzers)
-	if err != nil {
-		fmt.Fprintf(stderr, "vetrepo: %v\n", err)
-		return 1
-	}
-	for _, f := range findings {
-		fmt.Fprintln(stdout, f)
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(stderr, "vetrepo: %d finding(s)\n", len(findings))
-		return 2
-	}
-	return 0
+	fs.Usage()
+	return 2
 }
 
 // selfID hashes the running executable into a hex build ID.

@@ -10,14 +10,12 @@
 //
 // The model mirrors golang.org/x/tools/go/analysis deliberately: an
 // Analyzer is a named Run function over a Pass (one type-checked
-// package), and three drivers feed passes to analyzers:
+// package), and two drivers feed passes to analyzers:
 //
-//   - the standalone driver (RunStandalone) loads the whole module,
-//     tests included, via `go list` plus source type-checking — this is
-//     what `go run ./cmd/vetrepo ./...` uses;
 //   - the unit driver (UnitMain) speaks cmd/go's vet tool protocol, so
-//     the same binary runs under `go vet -vettool=...` with cmd/go's
-//     caching and per-package export data;
+//     cmd/vetrepo runs under `go vet -vettool=...` with cmd/go's package
+//     loading (in-package and external test files included), caching
+//     and per-package export data;
 //   - the analysistest package runs a single analyzer over seeded
 //     fixture packages with `// want "regexp"` expectations.
 //

@@ -2,13 +2,9 @@ package analysis
 
 // exportimp.go resolves imports from compiler export data — the same
 // files the gc toolchain writes into the build cache — via the standard
-// library's go/importer in "gc" mode with a lookup function. Both real
-// drivers use it: the vet-tool unit driver is handed an import-path →
-// export-file map by cmd/go, and the standalone driver builds the same
-// map from `go list -export -deps`. An overlay lets the standalone
-// driver substitute packages it type-checked from source (this module's
-// own packages, which the analyzers need syntax for) while everything
-// beneath them loads from export data.
+// library's go/importer in "gc" mode with a lookup function. The
+// vet-tool unit driver is handed the import-path → export-file map by
+// cmd/go.
 
 import (
 	"fmt"
@@ -21,15 +17,13 @@ import (
 
 type exportImporter struct {
 	importMap map[string]string // import path as written -> canonical package path
-	overlay   map[string]*types.Package
 	gc        types.Importer
 }
 
 // newExportImporter builds an importer over export data files.
 // packageFile maps canonical package paths to export data files;
-// importMap translates source-level import paths (may be nil for the
-// identity map); overlay wins over export data (may be nil).
-func newExportImporter(fset *token.FileSet, importMap, packageFile map[string]string, overlay map[string]*types.Package) *exportImporter {
+// importMap translates source-level import paths.
+func newExportImporter(fset *token.FileSet, importMap, packageFile map[string]string) *exportImporter {
 	lookup := func(path string) (io.ReadCloser, error) {
 		f, ok := packageFile[path]
 		if !ok {
@@ -45,7 +39,6 @@ func newExportImporter(fset *token.FileSet, importMap, packageFile map[string]st
 	}
 	return &exportImporter{
 		importMap: importMap,
-		overlay:   overlay,
 		gc:        importer.ForCompiler(fset, "gc", lookup),
 	}
 }
@@ -56,9 +49,6 @@ func (e *exportImporter) Import(path string) (*types.Package, error) {
 	}
 	if mapped, ok := e.importMap[path]; ok && mapped != "" {
 		path = mapped
-	}
-	if pkg, ok := e.overlay[path]; ok {
-		return pkg, nil
 	}
 	return e.gc.Import(path)
 }

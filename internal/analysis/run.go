@@ -2,9 +2,9 @@ package analysis
 
 // run.go is the driver-independent core: run a list of analyzers over
 // one type-checked package, apply the //vetrepo:ignore allowlist, and
-// return position-sorted diagnostics. All three drivers (standalone,
-// vet-tool unit, analysistest) end up here, so ignore semantics and
-// package filtering cannot drift between them.
+// return position-sorted diagnostics. Both drivers (vet-tool unit,
+// analysistest) end up here, so ignore semantics and package filtering
+// cannot drift between them.
 
 import (
 	"fmt"
@@ -20,11 +20,6 @@ type Unit struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-
-	// ReportFiles, when non-nil, restricts emitted diagnostics to these
-	// file names. The standalone driver uses it for test-variant units,
-	// where the non-test files were already analyzed on their own.
-	ReportFiles map[string]bool
 }
 
 // NewInfo returns a types.Info with every map the analyzers consult.
@@ -64,9 +59,6 @@ func RunAnalyzers(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var out []Diagnostic
 	for _, d := range raw {
 		if ignores.suppresses(u.Fset, d) {
-			continue
-		}
-		if u.ReportFiles != nil && !u.ReportFiles[u.Fset.Position(d.Pos).Filename] {
 			continue
 		}
 		out = append(out, d)

@@ -1,6 +1,5 @@
-// Package suite registers the repo's analyzers in one place, so the
-// standalone driver, the vet-tool unit driver and CI all run the exact
-// same set.
+// Package suite registers the repo's analyzers in one place: the set
+// cmd/vetrepo runs under `go vet -vettool`.
 package suite
 
 import (

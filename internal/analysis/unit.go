@@ -94,7 +94,7 @@ func UnitMain(cfgPath string, analyzers []*Analyzer, stderr io.Writer) int {
 	info := NewInfo()
 	var firstErr error
 	conf := types.Config{
-		Importer:  newExportImporter(fset, cfg.ImportMap, cfg.PackageFile, nil),
+		Importer:  newExportImporter(fset, cfg.ImportMap, cfg.PackageFile),
 		Sizes:     types.SizesFor("gc", runtime.GOARCH),
 		GoVersion: cfg.GoVersion,
 		Error: func(err error) {

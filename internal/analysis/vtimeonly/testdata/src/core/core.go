@@ -32,3 +32,18 @@ func okIgnoredWithReason() int64 {
 	//vetrepo:ignore vtimeonly harness-style wall-clock check exercised by the ignore machinery
 	return time.Now().UnixNano()
 }
+
+func badFanOut(legs []func()) {
+	for _, leg := range legs {
+		go leg() // want "virtual-time overlap is vtime.Join"
+	}
+}
+
+func okHostWork(jobs chan func()) {
+	//vetrepo:ignore vtimeonly cipher workers do host work and charge no virtual time
+	go func() {
+		for job := range jobs {
+			job()
+		}
+	}()
+}

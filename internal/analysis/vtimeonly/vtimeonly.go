@@ -1,19 +1,23 @@
-// Package vtimeonly bans wall-clock reads and unseeded randomness in
-// the simulation packages. The whole stack is measured in virtual time
-// (internal/vtime), and the background walkers (rekey, flatten, scrub,
-// all on rbd's walker kernel) are crash-resumable only because a replay
-// of the same inputs takes the same decisions: one stray time.Now in a
-// paced walker or one draw from the process-seeded global math/rand
-// source and crash-resume replay, paced-interference measurements and
-// the deterministic fio offset sequences all silently diverge. Seeded
-// generators
-// (rand.New(rand.NewSource(seed))) remain fine; so do time.Duration and
-// the other pure types — only the functions that sample host state are
-// banned.
+// Package vtimeonly bans wall-clock reads, unseeded randomness and
+// goroutines in the simulation packages. The whole stack is measured in
+// virtual time (internal/vtime), and the background walkers (rekey,
+// flatten, scrub, all on rbd's walker kernel) are crash-resumable only
+// because a replay of the same inputs takes the same decisions: one
+// stray time.Now in a paced walker or one draw from the process-seeded
+// global math/rand source and crash-resume replay, paced-interference
+// measurements and the deterministic fio offset sequences all silently
+// diverge. Seeded generators (rand.New(rand.NewSource(seed))) remain
+// fine; so do time.Duration and the other pure types — only the
+// functions that sample host state are banned. A go statement samples
+// host state too: resources grant reservations in arrival order, so legs
+// that overlap in virtual time must be issued by vtime.Join on the
+// caller's goroutine, not raced by the Go scheduler.
 package vtimeonly
 
 import (
+	"go/ast"
 	"go/types"
+	"strings"
 
 	"repro/internal/analysis"
 )
@@ -37,7 +41,13 @@ var simulationPackages = map[string]bool{
 	"history":   true,
 	"health":    true,
 	"attr":      true,
+	"blobstore": true,
+	"kvstore":   true,
 }
+
+// goExempt is the one simulation package that may start goroutines: fio's
+// jobs are the workload's own concurrency. (Test files may, everywhere.)
+const goExempt = "fio"
 
 // bannedTime are the time functions that sample or schedule against the
 // host clock.
@@ -65,7 +75,7 @@ var allowedRand = map[string]bool{
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "vtimeonly",
-	Doc:      "bans wall-clock time and global math/rand in the simulation packages (crash-resume and replay determinism)",
+	Doc:      "bans wall-clock time, global math/rand and goroutines in the simulation packages (crash-resume and replay determinism)",
 	Packages: simulationPackages,
 	Run:      run,
 }
@@ -86,6 +96,20 @@ func run(pass *analysis.Pass) error {
 				pass.Reportf(id.Pos(), "global %s.%s is process-seeded and nondeterministic; use rand.New(rand.NewSource(seed)) so runs replay", f.Pkg().Path(), f.Name())
 			}
 		}
+	}
+	if pass.Pkg.Name() == goExempt {
+		return nil
+	}
+	for _, file := range pass.Files {
+		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
+			continue
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				pass.Reportf(g.Pos(), "virtual-time overlap is vtime.Join; a goroutine here makes reservation order host-dependent")
+			}
+			return true
+		})
 	}
 	return nil
 }

@@ -7,5 +7,5 @@ import (
 )
 
 func TestVtimeonly(t *testing.T) {
-	analysistest.Run(t, ".", Analyzer, "core", "rbd", "bench", "telemetry", "fault", "scrub", "history", "health", "attr")
+	analysistest.Run(t, ".", Analyzer, "core", "rbd", "fio", "bench", "telemetry", "fault", "scrub", "history", "health", "attr")
 }

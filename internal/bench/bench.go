@@ -69,7 +69,7 @@ type Config struct {
 	Seed           int64
 	Cluster        func() rados.ClusterConfig
 	// Cores is the real parallelism of the client seal/open datapath
-	// (core.Options.ClientCores); 0 uses the GOMAXPROCS default, 1
+	// (EncryptedImage.SetParallelism); 0 uses the GOMAXPROCS default, 1
 	// forces the serial pipeline. The virtual-time model is unaffected.
 	Cores int
 }

@@ -46,33 +46,21 @@ type Options struct {
 	Scheme    Scheme
 	Layout    Layout
 	BlockSize int64
-	// ClientCrypto models the client CPU cost of encryption in virtual
-	// time (ns/byte); zero uses a default calibrated to AES-NI XTS.
-	// Real CPU time is measured by the Go benchmarks directly.
-	ClientCryptoNsPerByte float64
-	// ClientCores is the real parallelism of the seal/open datapath: how
-	// many blocks are ciphered concurrently on the worker pool. Defaults
-	// to runtime.GOMAXPROCS(0); 1 forces the serial path.
-	ClientCores int
-	// ModelCores is the width of the *virtual-time* client crypto
-	// resource (the simulated client of §3.2). It defaults to 8 so
-	// simulated bandwidth stays machine-independent even though the real
-	// datapath scales with the host.
-	ModelCores int
 }
+
+// The client's cipher cost in virtual time: the simulated client of
+// §3.2 has modelCores cores at clientCryptoNsPerByte each (≈2.5 GB/s
+// per core, calibrated to AES-NI XTS), so simulated bandwidth is
+// machine-independent even though the real datapath scales with the
+// host (SetParallelism). Real CPU time is measured by the Go benchmarks.
+const (
+	clientCryptoNsPerByte = 0.4
+	modelCores            = 8
+)
 
 func (o Options) withDefaults() Options {
 	if o.BlockSize <= 0 {
 		o.BlockSize = DefaultBlockSize
-	}
-	if o.ClientCryptoNsPerByte <= 0 {
-		o.ClientCryptoNsPerByte = 0.4 // ≈2.5 GB/s per core
-	}
-	if o.ClientCores <= 0 {
-		o.ClientCores = maxParallelism()
-	}
-	if o.ModelCores <= 0 {
-		o.ModelCores = 8
 	}
 	return o
 }
@@ -116,7 +104,7 @@ type EncryptedImage struct {
 	ring    *keyring
 	plan    planner
 	cpu     *vtime.MultiResource
-	workers int // datapath parallelism (ClientCores)
+	workers int // datapath parallelism (SetParallelism)
 
 	// Key lifecycle: the unlocked container and master key stay resident
 	// (as in any open LUKS device) so epochs can be minted and destroyed
@@ -248,8 +236,8 @@ func Load(at vtime.Time, img *rbd.Image, passphrase []byte) (*EncryptedImage, vt
 			trackAlloc:  storedMeta == 0,
 			epochTagged: tagged && storedMeta > 0,
 		},
-		cpu:     vtime.NewMultiResource(img.Name()+"/crypto", opts.ModelCores),
-		workers: opts.ClientCores,
+		cpu:     vtime.NewMultiResource(img.Name()+"/crypto", modelCores),
+		workers: maxParallelism(),
 		alloc:   make(map[int64]*objAlloc),
 		met:     newImageMetrics(scheme, lay),
 	}
@@ -303,7 +291,7 @@ func (e *EncryptedImage) checkAligned(p []byte, off int64) error {
 
 // chargeCrypto models the client-side cipher cost in virtual time.
 func (e *EncryptedImage) chargeCrypto(at vtime.Time, n int64) vtime.Time {
-	return e.cpu.Use(at, time.Duration(float64(n)*e.opts.ClientCryptoNsPerByte))
+	return e.cpu.Use(at, time.Duration(float64(n)*clientCryptoNsPerByte))
 }
 
 // errStaleEpoch reports a write sealed under an epoch that stopped being
@@ -434,7 +422,7 @@ func (e *EncryptedImage) writeAtEpoch(at vtime.Time, p []byte, off int64) (vtime
 		return e.commitObjectTxn(at, ext.ObjIdx, ops, dirtyAlloc)
 	}
 
-	end, err := fanOutExtents(at, len(plans), func(i int) (vtime.Time, error) {
+	end, err := vtime.Join(at, len(plans), func(i int) (vtime.Time, error) {
 		return issue(at, i)
 	})
 	release()
@@ -509,18 +497,19 @@ func (e *EncryptedImage) readAtSnapOnce(at vtime.Time, p []byte, off int64, snap
 	liveAtFetch := e.ring.epochs()
 
 	// Phase 1: fetch ciphertext+metadata for every extent into pooled
-	// buffers, concurrently across objects. The buffers are handed to
-	// the read ops as destinations, so on the in-process fast path the
-	// OSD fills them directly — a fetched block crosses the wire with
-	// zero intermediate copies. (LayoutUnaligned reads its interleaved
-	// stream into a separate raw buffer that parseFetch de-strides.)
+	// buffers, every object's fetch issued at the same virtual instant.
+	// The buffers are handed to the read ops as destinations, so on the
+	// in-process fast path the OSD fills them directly — a fetched block
+	// crosses the wire with zero intermediate copies. (LayoutUnaligned
+	// reads its interleaved stream into a separate raw buffer that
+	// parseFetch de-strides.)
 	bufs := make([]objFetch, len(exts))
 	release := func() {
 		for i := range bufs {
 			bufs[i].release()
 		}
 	}
-	end, err := fanOutExtents(at, len(exts), func(i int) (vtime.Time, error) {
+	end, err := vtime.Join(at, len(exts), func(i int) (vtime.Time, error) {
 		ext := exts[i]
 		f, end, err := e.fetch(at, ext.ObjIdx, snapID, ext.ObjOff/bs, ext.Length/bs, true, primaryOSD)
 		bufs[i] = f
@@ -1024,7 +1013,7 @@ func (e *EncryptedImage) PresentRange(at vtime.Time, off, length int64, snapID u
 	if err != nil {
 		return nil, at, err
 	}
-	end, err := fanOutExtents(at, len(exts), func(i int) (vtime.Time, error) {
+	end, err := vtime.Join(at, len(exts), func(i int) (vtime.Time, error) {
 		ext := exts[i]
 		f, end, err := e.fetch(at, ext.ObjIdx, snapID, ext.ObjOff/bs, ext.Length/bs, false, primaryOSD)
 		if err != nil {
@@ -1167,7 +1156,7 @@ func (e *EncryptedImage) Discard(at vtime.Time, off, length int64) (vtime.Time, 
 		return e.commitObjectTxn(at, ext.ObjIdx, ops, a != nil)
 	}
 
-	return fanOutExtents(at, len(exts), func(i int) (vtime.Time, error) {
+	return vtime.Join(at, len(exts), func(i int) (vtime.Time, error) {
 		return discardOne(at, exts[i])
 	})
 }

@@ -6,12 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/luks"
 	"repro/internal/rados"
 	"repro/internal/rbd"
 	"repro/internal/simdisk"
+	"repro/internal/telemetry"
+	"repro/internal/vtime"
 )
 
 func testClient(t testing.TB) *rados.Client {
@@ -37,9 +40,15 @@ var imgCounter int
 
 func newEncrypted(t testing.TB, scheme Scheme, layout Layout) *EncryptedImage {
 	t.Helper()
-	cl := testClient(t)
 	imgCounter++
-	name := fmt.Sprintf("eimg%d", imgCounter)
+	return newEncryptedNamed(t, fmt.Sprintf("eimg%d", imgCounter), scheme, layout)
+}
+
+// newEncryptedNamed formats and loads an image called name on a fresh
+// cluster.
+func newEncryptedNamed(t testing.TB, name string, scheme Scheme, layout Layout) *EncryptedImage {
+	t.Helper()
+	cl := testClient(t)
 	if _, err := rbd.CreateWithObjectSize(0, cl, "rbd", name, 8<<20, 1<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -96,6 +105,60 @@ func TestRoundTripAllCombos(t *testing.T) {
 			}
 			if !bytes.Equal(got, data) {
 				t.Fatal("round trip failed")
+			}
+		})
+	}
+}
+
+// TestSingleClientVirtualTimeIsDeterministic is the rados test of the
+// same name one layer up: a single goroutine's cross-object write, read,
+// discard and rekey step — the core and rbd joins and a walker primitive
+// — end at the same virtual instants on two fresh stacks.
+func TestSingleClientVirtualTimeIsDeterministic(t *testing.T) {
+	// Which ops the process-global trace sampler picks moves virtual
+	// time (sampled replies carry their hops on the wire); pin it off.
+	telemetry.Ops.SetSampleEvery(1 << 30)
+	defer telemetry.Ops.SetSampleEvery(64)
+
+	for _, combo := range []struct {
+		Scheme Scheme
+		Layout Layout
+	}{
+		{SchemeLUKS2, LayoutNone},
+		{SchemeXTSRand, LayoutObjectEnd},
+		{SchemeGCM, LayoutOMAP},
+	} {
+		t.Run(fmt.Sprintf("%v/%v", combo.Scheme, combo.Layout), func(t *testing.T) {
+			run := func() []vtime.Time {
+				// One image name on both stacks: placement hashes it.
+				e := newEncryptedNamed(t, "det", combo.Scheme, combo.Layout)
+
+				// Every op arrives a third of the way into the previous
+				// one, so consecutive ops queue on shared resources.
+				var at vtime.Time
+				var ends []vtime.Time
+				step := func(end vtime.Time, err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatal(err)
+					}
+					ends = append(ends, end)
+					at += vtime.Time(end.Sub(at) / 3)
+				}
+				buf := make([]byte, 64<<10)
+				const off = 1<<20 - 32<<10 // spans objects 0 and 1
+				step(e.WriteAt(at, buf, off))
+				step(e.ReadAt(at, buf, off))
+				step(e.Discard(at, off+16<<10, 32<<10))
+				_, end, err := e.BeginEpoch(at)
+				step(end, err)
+				_, end, err = e.RekeyObject(at, 0)
+				step(end, err)
+				return ends
+			}
+			a, b := run(), run()
+			if !slices.Equal(a, b) {
+				t.Fatalf("end times differ between two identical single-goroutine runs:\n %v\n %v", a, b)
 			}
 		})
 	}

@@ -14,7 +14,7 @@ package core
 //     so cross-goroutine coordination cost is per-IO, not per-block.
 //
 // The pool is package-global and lazily started: images share workers,
-// and per-image parallelism is bounded by Options.ClientCores.
+// and per-image parallelism is bounded by SetParallelism.
 
 import (
 	"runtime"
@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/rbd"
-	"repro/internal/vtime"
 )
 
 // maxParallelism is the datapath's default worker count: one cipher
@@ -85,6 +84,7 @@ func dpStart() {
 	n := maxParallelism()
 	dpJobs = make(chan blockJob, 4*n)
 	for i := 0; i < n; i++ {
+		//vetrepo:ignore vtimeonly cipher workers do host work and charge no virtual time
 		go func() {
 			for job := range dpJobs {
 				mDPQueue.Add(-1)
@@ -140,44 +140,6 @@ func forBlocks(workers int, n int64, fn func(lo, hi int64) error) error {
 	res.mu.Lock()
 	defer res.mu.Unlock()
 	return res.err
-}
-
-// fanOutExtents runs fn(i) for i in [0, n) concurrently — inline when
-// n == 1, avoiding goroutine churn for single-object IOs — and joins the
-// completions: the latest virtual end wins; on any failure the first
-// error is reported with the caller's original arrival time.
-func fanOutExtents(at vtime.Time, n int, fn func(i int) (vtime.Time, error)) (vtime.Time, error) {
-	if n == 1 {
-		end, err := fn(0)
-		if err != nil {
-			return at, err
-		}
-		return end, nil
-	}
-	type outcome struct {
-		end vtime.Time
-		err error
-	}
-	ch := make(chan outcome, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			end, err := fn(i)
-			ch <- outcome{end: end, err: err}
-		}(i)
-	}
-	end := at
-	var firstErr error
-	for i := 0; i < n; i++ {
-		o := <-ch
-		if o.err != nil && firstErr == nil {
-			firstErr = o.err
-		}
-		end = vtime.Max(end, o.end)
-	}
-	if firstErr != nil {
-		return at, firstErr
-	}
-	return end, nil
 }
 
 // forExtentBlocks fans fn across every block of every extent: the flat

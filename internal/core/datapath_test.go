@@ -332,11 +332,11 @@ func BenchmarkDatapathOpen(b *testing.B) {
 
 // TestHotPathAllocBudget pins the per-op heap allocations of a warmed
 // 4 KiB ReadAt and WriteAt through the whole in-process stack at their
-// measured counts: 23 for the read, unchanged since the commit before the
-// object-transaction kernel was factored out, and 53 for the write (128
-// until the KV commit path stopped allocating per key, per node and per
-// WAL image on each of the three replicas). One stray closure, interface
-// conversion or escaped objFetch per IO fails here, long before it trips
+// measured counts: 22 for the read and 45 for the write (53 until the
+// replica fan-out stopped spawning a goroutine per peer, 128 until the KV
+// commit path stopped allocating per key, per node and per WAL image on
+// each of the three replicas). One stray closure, interface conversion
+// or escaped objFetch per IO fails here, long before it trips
 // BENCHMARK.json's 2 % allocs_per_op bound.
 func TestHotPathAllocBudget(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -346,7 +346,7 @@ func TestHotPathAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	const readBudget, writeBudget = 23, 53
+	const readBudget, writeBudget = 22, 45
 	e := newEncrypted(t, SchemeXTSRand, LayoutObjectEnd)
 	e.SetParallelism(1)
 	buf := make([]byte, 4096)

@@ -188,14 +188,6 @@ type Injector struct {
 	rng *rand.Rand
 }
 
-// Site returns the site name the injector was derived for.
-func (in *Injector) Site() string {
-	if in == nil {
-		return ""
-	}
-	return in.site
-}
-
 // Hit reports whether fault k fires at this opportunity, consuming one
 // draw from the site's decision stream only when k has a nonzero
 // probability (so disabling one fault kind does not shift the others'

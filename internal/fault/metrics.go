@@ -18,11 +18,3 @@ func init() {
 		mInj[k] = mInjVec.With(k.String())
 	}
 }
-
-// InjectedCount returns the number of fired injections recorded for
-// one kind since process start — the harness's "did anything actually
-// fire" assertion surface.
-func InjectedCount(k Kind) int64 { return mInj[k].Value() }
-
-// DownCount returns the number of calls rejected inside crash windows.
-func DownCount() int64 { return mDown.Value() }

@@ -171,9 +171,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// Map returns the cluster map.
-func (c *Cluster) Map() *ClusterMap { return c.cmap }
-
 // OSDs returns the daemons (for stats and fault injection in tests).
 func (c *Cluster) OSDs() []*OSD { return c.osds }
 

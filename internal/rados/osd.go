@@ -241,17 +241,19 @@ func (o *OSD) serve(at vtime.Time, req *Request) (*Reply, vtime.Time, error) {
 	end := localEnd
 	replicated := false
 	if mutating && !req.Replica {
-		end, err = o.replicate(at, req, end, reply)
+		end, replicated, err = o.replicate(at, req, end, reply)
 		if err != nil {
 			m.errors.Inc()
 			return nil, at, err
 		}
-		// The fan-out is issued at the post-admission time, concurrent
-		// with the local commit; its hop spans forward to slowest ack.
-		m.replications.Inc()
-		m.replLat.Observe(end.Sub(at))
-		attr.Observe(cls, attr.PhaseReplicate, end.Sub(at))
-		replicated = true
+		if replicated {
+			// The fan-out is issued at the post-admission time,
+			// concurrent with the local commit; its hop spans forward
+			// to slowest ack.
+			m.replications.Inc()
+			m.replLat.Observe(end.Sub(at))
+			attr.Observe(cls, attr.PhaseReplicate, end.Sub(at))
+		}
 	}
 	// Hop reporting rides the reply rather than a local span: the hop
 	// list travels the wire back, so the client (and, for replica
@@ -274,11 +276,13 @@ func (o *OSD) serve(at vtime.Time, req *Request) (*Reply, vtime.Time, error) {
 }
 
 // replicate runs primary-copy replication: the request is forwarded to
-// the other replicas in parallel, one roundTrip per peer, and the write
-// is acknowledged when every copy is durable. The replicas' reply hops
-// are merged into reply so the client's stitched timeline includes every
-// replica serve.
-func (o *OSD) replicate(at vtime.Time, req *Request, end vtime.Time, reply *Reply) (vtime.Time, error) {
+// the other replicas in replica-set order, every forward issued at the
+// same virtual instant (vtime.Join), one roundTrip per peer, and the
+// write is acknowledged when every copy is durable. The replicas' reply
+// hops are merged into reply so the client's stitched timeline includes
+// every replica serve. It reports whether anything was forwarded: a
+// replica set of just the primary is not a replication.
+func (o *OSD) replicate(at vtime.Time, req *Request, end vtime.Time, reply *Reply) (vtime.Time, bool, error) {
 	pg := o.cmap.PG(req.Pool, req.Object)
 	replicas := o.cmap.OSDsFor(pg)
 	conns := make([]msgr.Conn, 0, len(replicas)-1)
@@ -290,60 +294,38 @@ func (o *OSD) replicate(at vtime.Time, req *Request, end vtime.Time, reply *Repl
 		conn := o.peers[rid]
 		o.mu.Unlock()
 		if conn == nil {
-			return at, fmt.Errorf("osd%d: no peer connection to osd%d", o.id, rid)
+			return at, false, fmt.Errorf("osd%d: no peer connection to osd%d", o.id, rid)
 		}
 		conns = append(conns, conn)
 	}
 	if len(conns) == 0 {
-		return end, nil
+		return end, false, nil
 	}
 
 	// The forward shares the request's op vector (read-only on the peer)
 	// with the replica flag set, so no payload is re-staged. The span
-	// pointer does NOT travel — replicas run on concurrent goroutines,
-	// and a span admits a single writer — but the TraceID does (the
-	// struct copy keeps it): each replica reports its serve hop in its
-	// reply, and the primary merges them below, single-threaded, after
-	// the acks are collected.
+	// pointer does NOT travel — it cannot cross the byte codec — but the
+	// TraceID does (the struct copy keeps it): each replica reports its
+	// serve hop in its reply, merged below.
 	fwd := *req
 	fwd.Replica = true
 	fwd.Span = nil
 
-	type repl struct {
-		reply *Reply
-		end   vtime.Time
-		err   error
-	}
-	ch := make(chan repl, len(conns))
-	for _, conn := range conns {
-		go func(c msgr.Conn) {
-			var r repl
-			r.reply, r.end, r.err = roundTrip(c, at, &fwd)
-			ch <- r
-		}(conn)
-	}
-	var firstErr error
-	for i := 0; i < len(conns); i++ {
-		r := <-ch
-		end = vtime.Max(end, r.end)
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
+	acked, err := vtime.Join(at, len(conns), func(i int) (vtime.Time, error) {
+		r, legEnd, err := roundTrip(conns[i], at, &fwd)
+		if err == nil {
+			// Hops are harvested from every ack, traced or not: an
+			// untraced replica whose serve crossed the slow threshold
+			// self-promotes its serve hop, and dropping it here would
+			// blind the tail capture to the straggler.
+			reply.Hops = append(reply.Hops, r.Hops...)
 		}
-		// Hops are harvested from every ack, traced or not: an untraced
-		// replica whose serve crossed the slow threshold self-promotes
-		// its serve hop, and dropping it here would blind the tail
-		// capture to the straggler. Ack-arrival order is
-		// nondeterministic, but the hop *set* is deterministic;
-		// consumers treat hops as unordered.
-		reply.Hops = append(reply.Hops, r.reply.Hops...)
+		return legEnd, err
+	})
+	if err != nil {
+		return at, true, fmt.Errorf("osd%d: replica: %w", o.id, err)
 	}
-	if firstErr != nil {
-		return at, fmt.Errorf("osd%d: replica: %w", o.id, firstErr)
-	}
-	return end, nil
+	return vtime.Max(end, acked), true, nil
 }
 
 func cloneName(fullName string, snapID uint64) string {

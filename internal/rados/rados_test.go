@@ -10,6 +10,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/simdisk"
+	"repro/internal/telemetry"
+	"repro/internal/vtime"
 )
 
 func testCluster(t *testing.T) (*Cluster, *Client) {
@@ -354,6 +356,53 @@ func TestVirtualTimeAdvances(t *testing.T) {
 	}
 	if end2 <= end {
 		t.Fatalf("read end %d not after %d", end2, end)
+	}
+}
+
+// TestSingleClientVirtualTimeIsDeterministic pins what vtime.Join buys:
+// one goroutine's virtual time is a pure function of the cost model. The
+// same overlapping replicated write+OMAP sequence on two fresh clusters
+// must end every op at the same instant, whatever the host scheduler
+// does. Each op arrives a third of the way into the previous one, so
+// consecutive ops queue on shared CPUs, NICs and disks and any
+// host-ordered reservation shows up as a moved end time.
+func TestSingleClientVirtualTimeIsDeterministic(t *testing.T) {
+	// A sampled request's reply carries its hops on the wire and
+	// WireLen charges them, so which ops the process-global 1-in-64 tick
+	// picks moves virtual time (ROADMAP item 3). Pin it off.
+	telemetry.Ops.SetSampleEvery(1 << 30)
+	defer telemetry.Ops.SetSampleEvery(64)
+
+	const ops, objects = 400, 13
+	run := func() []vtime.Time {
+		_, cl := testCluster(t)
+		data := bytes.Repeat([]byte{0xC3}, 8192)
+		iv := bytes.Repeat([]byte{0xAB}, 16)
+		ends := make([]vtime.Time, ops)
+		var at vtime.Time
+		for i := range ends {
+			obj := fmt.Sprintf("det-%d", i%objects)
+			_, end, err := cl.Operate(at, "rbd", obj, SnapContext{}, 0, []Op{
+				{Kind: OpWrite, Off: int64(i%7) * 4096, Data: data},
+				{Kind: OpOmapSet, Pairs: []Pair{{Key: []byte(fmt.Sprintf("iv.%d", i%7)), Value: iv}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ends[i] = end
+			at += vtime.Time(end.Sub(at) / 3)
+		}
+		return ends
+	}
+	a, b := run(), run()
+	differ := 0
+	for i := range a {
+		if a[i] != b[i] {
+			differ++
+		}
+	}
+	if differ != 0 {
+		t.Fatalf("%d of %d end times differ between two identical single-goroutine runs", differ, ops)
 	}
 }
 

@@ -107,6 +107,70 @@ func TestTraceCompletenessReplicatedWrite(t *testing.T) {
 	}
 }
 
+// TestReplicationCountedOnlyWhenForwarded pins osd_replications_total's
+// definition ("primary-to-replica fan-outs issued"): a write whose
+// replica set is the primary alone forwards nothing, so the counter, the
+// osd_replicate_vtime histogram, the write/replicate attribution phase
+// and the span's hop set must not record a replication; on a 3-replica
+// cluster every write records exactly one.
+func TestReplicationCountedOnlyWhenForwarded(t *testing.T) {
+	telemetry.Ops.SetSampleEvery(1)
+	defer telemetry.Ops.SetSampleEvery(64)
+
+	const writes = 8
+	for _, tc := range []struct {
+		osds, replicas int
+		want           int64 // replications recorded per write
+	}{
+		{1, 1, 0},
+		{3, 3, 1},
+	} {
+		t.Run(fmt.Sprintf("replicas=%d", tc.replicas), func(t *testing.T) {
+			c, cl := newWireCluster(t, tc.osds, tc.replicas)
+			counted := func() (n, observed int64) {
+				for _, o := range c.OSDs() {
+					n += o.met.replications.Value()
+					observed += o.met.replLat.Snapshot().Count
+				}
+				return n, observed
+			}
+			n0, obs0 := counted()
+			ph0 := writeReplicateCount()
+			for i := 0; i < writes; i++ {
+				obj := fmt.Sprintf("fwd-r%d-%d", tc.replicas, i)
+				if _, _, err := cl.Operate(0, "rbd", obj, SnapContext{}, 0,
+					[]Op{{Kind: OpWrite, Off: 0, Data: make([]byte, 4096)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n1, obs1 := counted()
+			want := tc.want * writes
+			if got := n1 - n0; got != want {
+				t.Errorf("osd_replications_total moved by %d, want %d", got, want)
+			}
+			if got := obs1 - obs0; got != want {
+				t.Errorf("osd_replicate_vtime count moved by %d, want %d", got, want)
+			}
+			if got := writeReplicateCount() - ph0; got != want {
+				t.Errorf("write/replicate phase count moved by %d, want %d", got, want)
+			}
+			spans := 0
+			for _, rec := range telemetry.Ops.Recent() {
+				if !strings.HasPrefix(rec.Target, fmt.Sprintf("fwd-r%d-", tc.replicas)) {
+					continue
+				}
+				spans++
+				if got := int64(len(profileOf(rec).replicates)); got != tc.want {
+					t.Errorf("span %s carries %d replicate hops, want %d", rec.Target, got, tc.want)
+				}
+			}
+			if spans != writes {
+				t.Fatalf("%d finished spans for %d writes", spans, writes)
+			}
+		})
+	}
+}
+
 // TestFailedOpSpanCoversItsHops pins the one failure rule of the client
 // tail: an op the transport failed is finished at, and returns, the time
 // the transport got to — the request's arrival for a reset (the server

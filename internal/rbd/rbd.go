@@ -349,14 +349,14 @@ func (img *Image) Extents(off int64, length int64) ([]Extent, error) {
 }
 
 // WriteAt writes p at off (plaintext images; the encryption layer has its
-// own path). Object ops are issued concurrently; the returned time is the
-// latest completion.
+// own path). Object ops are issued at the same virtual instant; the
+// returned time is the latest completion.
 func (img *Image) WriteAt(at vtime.Time, p []byte, off int64) (vtime.Time, error) {
 	exts, err := img.Extents(off, int64(len(p)))
 	if err != nil {
 		return at, err
 	}
-	return img.parallel(at, exts, func(ext Extent) []rados.Op {
+	return img.parallelSnap(at, exts, 0, func(ext Extent) []rados.Op {
 		return []rados.Op{{Kind: rados.OpWrite, Off: ext.ObjOff, Data: p[ext.BufOff : ext.BufOff+ext.Length]}}
 	}, nil)
 }
@@ -394,58 +394,21 @@ func (img *Image) ReadAtSnap(at vtime.Time, p []byte, off int64, snapID uint64) 
 	})
 }
 
-// parallel fans object requests out concurrently and joins completions.
-func (img *Image) parallel(at vtime.Time, exts []Extent, build func(Extent) []rados.Op, handle func(Extent, []rados.Result) error) (vtime.Time, error) {
-	return img.parallelSnap(at, exts, 0, build, handle)
-}
-
+// parallelSnap issues one request per extent, all at the same virtual
+// instant, and joins the completions.
 func (img *Image) parallelSnap(at vtime.Time, exts []Extent, snapID uint64, build func(Extent) []rados.Op, handle func(Extent, []rados.Result) error) (vtime.Time, error) {
-	if len(exts) == 1 {
-		// Fast path: no goroutine churn for single-object IOs.
-		res, end, err := img.Operate(at, exts[0].ObjIdx, snapID, build(exts[0]))
-		if err != nil {
-			return at, err
-		}
-		if handle != nil {
-			if err := handle(exts[0], res); err != nil {
-				return at, err
+	return vtime.Join(at, len(exts), func(i int) (vtime.Time, error) {
+		ext := exts[i]
+		res, end, err := img.Operate(at, ext.ObjIdx, snapID, build(ext))
+		if err == nil {
+			if handle != nil {
+				err = handle(ext, res)
+			} else {
+				err = firstError(res)
 			}
-		} else if err := firstError(res); err != nil {
-			return at, err
 		}
-		return end, nil
-	}
-	type outcome struct {
-		end vtime.Time
-		err error
-	}
-	ch := make(chan outcome, len(exts))
-	for _, ext := range exts {
-		go func(ext Extent) {
-			res, end, err := img.Operate(at, ext.ObjIdx, snapID, build(ext))
-			if err == nil {
-				if handle != nil {
-					err = handle(ext, res)
-				} else {
-					err = firstError(res)
-				}
-			}
-			ch <- outcome{end: end, err: err}
-		}(ext)
-	}
-	end := at
-	var firstErr error
-	for range exts {
-		o := <-ch
-		if o.err != nil && firstErr == nil {
-			firstErr = o.err
-		}
-		end = vtime.Max(end, o.end)
-	}
-	if firstErr != nil {
-		return at, firstErr
-	}
-	return end, nil
+		return end, err
+	})
 }
 
 func firstError(res []rados.Result) error {

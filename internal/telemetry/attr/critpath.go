@@ -50,8 +50,8 @@ type CriticalPath struct {
 }
 
 // AnalyzeSpan rebuilds rec's hop tree and extracts the critical path.
-// Hops arrive unordered (wire-harvest order interleaves under
-// concurrency); structure is recovered from the timestamps.
+// Hops arrive in wire-harvest order, not start order; structure is
+// recovered from the timestamps.
 func AnalyzeSpan(rec telemetry.SpanRecord) CriticalPath {
 	cp := CriticalPath{Op: rec.Op, Target: rec.Target, Total: rec.Duration(), Dominant: -1}
 	if rec.NHops == 0 {

@@ -162,9 +162,6 @@ func NewEngine(h *history.History, rules []Rule) *Engine {
 	return &Engine{hist: h, rules: rules}
 }
 
-// Rules returns the engine's rule set.
-func (e *Engine) Rules() []Rule { return e.rules }
-
 // Eval evaluates every rule against the history as of at.
 func (e *Engine) Eval(at vtime.Time) Report {
 	rep := Report{At: at, Verdicts: make([]Verdict, 0, len(e.rules))}

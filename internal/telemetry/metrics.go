@@ -321,9 +321,6 @@ func (r *Registry) Families() []*Family {
 	return fams
 }
 
-// LabelKeys returns a copy of the family's label-key set.
-func (f *Family) LabelKeys() []string { return append([]string(nil), f.labelKeys...) }
-
 // EachSeries calls fn for every labeled series in insertion order with
 // the rendered {k="v",...} suffix ("" for unlabeled) and the series'
 // typed handle — exactly one of c/g/h is non-nil, matching the family

@@ -50,6 +50,29 @@ func MaxAll(ts ...Time) Time {
 	return m
 }
 
+// Join runs n operations that overlap in virtual time: every leg is
+// issued at the same arrival time at (fn closes over it) and the join
+// ends at the latest leg. The legs run fn(0)…fn(n-1) in index order on
+// the caller's goroutine — overlap is a property of the cost model, not
+// of host scheduling, so one caller's reservations are made in program
+// order. Every leg is attempted; on any failure Join returns at and the
+// first error.
+func Join(at Time, n int, fn func(i int) (Time, error)) (Time, error) {
+	end := at
+	var firstErr error
+	for i := 0; i < n; i++ {
+		legEnd, err := fn(i)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		end = Max(end, legEnd)
+	}
+	if firstErr != nil {
+		return at, firstErr
+	}
+	return end, nil
+}
+
 // Resource models a single-server resource processing work in FCFS order.
 // A nil *Resource is valid and free: every Use completes instantly at its
 // arrival time, so real (non-simulated) deployments can pass nil resources
@@ -204,49 +227,6 @@ func (m *MultiResource) Reset() {
 	}
 	m.busyTotal, m.ops = 0, 0
 	m.mu.Unlock()
-}
-
-// Clock tracks the frontier of virtual time observed by a simulation run.
-// Components report completion times to the clock; measurement code reads
-// the high-water mark. A nil *Clock discards observations.
-type Clock struct {
-	mu  sync.Mutex
-	now Time
-}
-
-// NewClock returns a clock at the simulation epoch.
-func NewClock() *Clock { return &Clock{} }
-
-// Observe advances the clock's high-water mark to t if t is later.
-func (c *Clock) Observe(t Time) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if t > c.now {
-		c.now = t
-	}
-	c.mu.Unlock()
-}
-
-// Now returns the latest observed virtual time.
-func (c *Clock) Now() Time {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Reset rewinds the clock to the epoch.
-func (c *Clock) Reset() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.now = 0
-	c.mu.Unlock()
 }
 
 // LinearCost describes a service time of the form Fixed + PerByte*bytes.

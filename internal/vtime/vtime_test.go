@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -110,25 +111,44 @@ func TestMultiResourcePanicsOnZeroServers(t *testing.T) {
 	NewMultiResource("bad", 0)
 }
 
-func TestClockObserve(t *testing.T) {
-	c := NewClock()
-	c.Observe(100)
-	c.Observe(50) // must not rewind
-	if c.Now() != 100 {
-		t.Fatalf("clock = %d want 100", c.Now())
+func TestJoin(t *testing.T) {
+	if end, err := Join(7, 0, nil); end != 7 || err != nil {
+		t.Fatalf("empty join = %d,%v want 7,nil", end, err)
 	}
-	c.Observe(200)
-	if c.Now() != 200 {
-		t.Fatalf("clock = %d want 200", c.Now())
+
+	// Latest end wins; fn sees 0..n-1 in order on this goroutine.
+	ends := []Time{30, 90, 50}
+	var seen []int
+	end, err := Join(10, len(ends), func(i int) (Time, error) {
+		seen = append(seen, i)
+		return ends[i], nil
+	})
+	if end != 90 || err != nil {
+		t.Fatalf("join = %d,%v want 90,nil", end, err)
 	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatal("reset failed")
+	if len(seen) != 3 || seen[0] != 0 || seen[1] != 1 || seen[2] != 2 {
+		t.Fatalf("legs ran as %v, want [0 1 2]", seen)
 	}
-	var nilClock *Clock
-	nilClock.Observe(5)
-	if nilClock.Now() != 0 {
-		t.Fatal("nil clock must discard")
+
+	// A failed leg does not stop the others; the join reports the
+	// arrival time and the first error.
+	first, second := errors.New("first"), errors.New("second")
+	seen = seen[:0]
+	end, err = Join(10, 4, func(i int) (Time, error) {
+		seen = append(seen, i)
+		switch i {
+		case 1:
+			return 40, first
+		case 2:
+			return 10, second
+		}
+		return 99, nil
+	})
+	if end != 10 || err != first {
+		t.Fatalf("failed join = %d,%v want 10,%v", end, err, first)
+	}
+	if len(seen) != 4 {
+		t.Fatalf("only legs %v attempted after a failure", seen)
 	}
 }
 
