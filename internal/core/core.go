@@ -501,8 +501,8 @@ func (e *EncryptedImage) readAtSnapOnce(at vtime.Time, p []byte, off int64, snap
 	// The buffers are handed to the read ops as destinations, so on the
 	// in-process fast path the OSD fills them directly — a fetched block
 	// crosses the wire with zero intermediate copies. (LayoutUnaligned
-	// reads its interleaved stream into a separate raw buffer that
-	// parseFetch de-strides.)
+	// reads its interleaved stream into one raw buffer, and every block
+	// is opened where it lies there.)
 	bufs := make([]objFetch, len(exts))
 	release := func() {
 		for i := range bufs {
@@ -576,19 +576,7 @@ const primaryOSD = -1
 // a direct single-copy read (repair). On success the caller release()s
 // the result; on failure nothing is retained.
 func (e *EncryptedImage) fetch(at vtime.Time, objIdx int64, snapID uint64, start, nb int64, withData bool, target int) (objFetch, vtime.Time, error) {
-	var f objFetch
-	f.metas = getBuf(int(nb * e.plan.metaLen))
-	f.present = getBuf(int(nb))
-	var raw []byte
-	if withData {
-		f.cipher = getBuf(int(nb * e.plan.blockSize))
-		f.epochs = getBuf(int(nb * epochLen))
-		raw = f.cipher
-	}
-	if e.plan.layout == LayoutUnaligned {
-		f.raw = getBuf(int(nb * (e.plan.blockSize + e.plan.metaLen)))
-		raw = f.raw
-	}
+	f, raw := e.plan.newFetch(nb, withData)
 	ops := e.plan.fetchOps(start, nb, withData, raw, f.metas)
 	var (
 		res []rados.Result
@@ -612,14 +600,22 @@ func (e *EncryptedImage) fetch(at vtime.Time, objIdx int64, snapID uint64, start
 
 // openBlock opens fetched block b (relative to the fetch's first block)
 // into dst under the key epoch its tag names; a destroyed epoch is
-// ErrKeyErased.
+// ErrKeyErased. Under LayoutUnaligned the block is opened where it lies
+// in the stream, its ciphertext's capacity running over its own slot —
+// the adjacency writePlan.cipherDst gives the seal — so an AEAD opens
+// ciphertext||tag in place. The opener leaves raw as it found it, so a
+// fetch opens the same way twice (repair and verify rely on that).
 func (e *EncryptedImage) openBlock(f *objFetch, b int64, blockIdx uint64, dst []byte) error {
 	opener, err := e.ring.cryptorFor(f.epoch(b))
 	if err != nil {
 		return err
 	}
-	bs, ml := e.plan.blockSize, e.plan.metaLen
-	return opener.open(dst, f.cipher[b*bs:(b+1)*bs], blockIdx, f.metas[b*ml:b*ml+e.schemeMetaLen()])
+	bs, ml, sml := e.plan.blockSize, e.plan.metaLen, e.schemeMetaLen()
+	if e.plan.layout == LayoutUnaligned {
+		s := b * (bs + ml)
+		return opener.open(dst, f.raw[s:s+bs:s+bs+ml], blockIdx, f.raw[s+bs:s+bs+sml])
+	}
+	return opener.open(dst, f.cipher[b*bs:(b+1)*bs], blockIdx, f.metas[b*ml:b*ml+sml])
 }
 
 // checkObject rejects an object index outside the image: the

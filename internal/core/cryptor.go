@@ -169,7 +169,9 @@ func (g *gcmAuth) randLen() int { return 12 }
 // gcmScratch holds the nonce, AAD and ciphertext staging for one
 // seal/open. It is pooled because the arrays are passed into the
 // cipher.AEAD interface, which would otherwise force a heap escape on
-// every 4 KiB block; ct is grown once per block size and then reused.
+// every 4 KiB block; ct is grown once per block size and then reused
+// (only by the separate-metadata layouts: under LayoutUnaligned both
+// directions work in place).
 type gcmScratch struct {
 	nonce [12]byte
 	aad   [8]byte
@@ -222,10 +224,25 @@ func (g *gcmAuth) open(dst, src []byte, blockIdx uint64, meta []byte) error {
 	defer gcmScratchPool.Put(s)
 	copy(s.nonce[:], meta[:12])
 	binary.LittleEndian.PutUint64(s.aad[:], blockIdx)
-	ct := s.buf(len(src) + 16)
-	n := copy(ct, src)
-	copy(ct[n:], meta[12:28])
-	out, err := g.aead.Open(dst[:0], s.nonce[:], ct, s.aad[:])
+	var out []byte
+	var err error
+	if cap(src) >= len(src)+16 && &src[:len(src)+1][len(src)] == &meta[0] {
+		// seal's fast path run backwards, under the same authorization:
+		// the byte after the ciphertext IS the block's own slot (a fetched
+		// LayoutUnaligned stream). Move the tag next to the ciphertext,
+		// open ciphertext||tag where it lies, and put the slot back as it
+		// was whatever the verdict, so the fetch opens the same way twice.
+		copy(meta[:16], meta[12:28])
+		out, err = g.aead.Open(dst[:0], s.nonce[:], src[:len(src)+16], s.aad[:])
+		copy(meta[12:28], meta[:16])
+		copy(meta[:12], s.nonce[:])
+	} else {
+		// Separate metadata region: stage ciphertext||tag in pooled scratch.
+		ct := s.buf(len(src) + 16)
+		n := copy(ct, src)
+		copy(ct[n:], meta[12:28])
+		out, err = g.aead.Open(dst[:0], s.nonce[:], ct, s.aad[:])
+	}
 	if err != nil {
 		return fmt.Errorf("%w: block %d", ErrIntegrity, blockIdx)
 	}

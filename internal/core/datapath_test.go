@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand"
+	"runtime"
 	"runtime/debug"
 	"sync/atomic"
 	"testing"
@@ -337,7 +338,9 @@ func BenchmarkDatapathOpen(b *testing.B) {
 // commit path stopped allocating per key, per node and per WAL image on
 // each of the three replicas). One stray closure, interface conversion
 // or escaped objFetch per IO fails here, long before it trips
-// BENCHMARK.json's 2 % allocs_per_op bound.
+// BENCHMARK.json's 2 % allocs_per_op bound. A warmed 1 MiB
+// unaligned-layout ReadAt is pinned at 22 (gcm-auth) and 23 (xts-rand:
+// the pooled covering read's Put) allocations and at most 16 KiB a read.
 func TestHotPathAllocBudget(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -372,5 +375,45 @@ func TestHotPathAllocBudget(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, io(true)); got > writeBudget {
 		t.Errorf("4 KiB WriteAt: %.0f allocs/op, budget %d", got, writeBudget)
+	}
+
+	// The 1 MiB unaligned-layout read opens every block in place in the
+	// fetched stream, and simdisk takes the covering buffer of the
+	// sector-misaligned xts-rand stream (256 × 4116 bytes) from the pool.
+	// The byte ceiling is well under one block: a de-stride buffer or a
+	// per-read covering buffer (1 MiB each) coming back fails here.
+	const bulkBytesCeiling = 16 << 10
+	for _, tc := range []struct {
+		scheme Scheme
+		budget float64
+	}{{SchemeGCM, 22}, {SchemeXTSRand, 23}} {
+		e := newEncrypted(t, tc.scheme, LayoutUnaligned)
+		e.SetParallelism(1)
+		bulk := make([]byte, 1<<20)
+		if _, err := e.WriteAt(0, bulk, 0); err != nil {
+			t.Fatal(err)
+		}
+		read := func() {
+			if _, err := e.ReadAt(0, bulk, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC() // settle the heap first: a GC inside the window empties the pools
+		for i := 0; i < 8; i++ {
+			read()
+		}
+		if got := testing.AllocsPerRun(50, read); got > tc.budget {
+			t.Errorf("1 MiB ReadAt %v/unaligned: %.0f allocs/op, budget %.0f", tc.scheme, got, tc.budget)
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			read()
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > bulkBytesCeiling {
+			t.Errorf("1 MiB ReadAt %v/unaligned: %d B/op, ceiling %d", tc.scheme, got, bulkBytesCeiling)
+		}
 	}
 }

@@ -238,16 +238,37 @@ func (w *writePlan) release() {
 	w.wire, w.meta, w.keys = nil, nil, nil
 }
 
-// objFetch is one object extent as fetched: the five pooled buffers a
-// fetch fills, owned by value by whoever issued it (the per-IO slice in
-// the read path, a local in the maintenance primitives). A presence
-// probe leaves cipher and epochs nil.
+// objFetch is one object extent as fetched: the pooled buffers a fetch
+// fills, owned by value by whoever issued it (the per-IO slice in the
+// read path, a local in the maintenance primitives). A presence probe
+// leaves cipher and epochs nil; so does every LayoutUnaligned fetch for
+// cipher, whose blocks are opened where they lie in raw.
 type objFetch struct {
-	cipher  []byte // nb ciphertext blocks, de-strided
+	cipher  []byte // nb ciphertext blocks (layouts with a separate data region)
 	metas   []byte // nb stored metadata slots
 	present []byte // 0/1 per block
 	epochs  []byte // key-epoch tag per block, little-endian uint32
-	raw     []byte // interleaved read destination (LayoutUnaligned only)
+	raw     []byte // the interleaved stream, as stored (LayoutUnaligned only)
+}
+
+// newFetch takes from the pool the buffers a fetch of nb blocks fills,
+// and returns with them the data read's destination: the interleaved
+// stream under LayoutUnaligned (data and metadata at once, opened in
+// place, so a probe reads it too), the ciphertext region otherwise.
+func (p *planner) newFetch(nb int64, withData bool) (f objFetch, raw []byte) {
+	f.metas = getBuf(int(nb * p.metaLen))
+	f.present = getBuf(int(nb))
+	if p.layout == LayoutUnaligned {
+		f.raw = getBuf(int(nb * (p.blockSize + p.metaLen)))
+		raw = f.raw
+	} else if withData {
+		f.cipher = getBuf(int(nb * p.blockSize))
+		raw = f.cipher
+	}
+	if withData {
+		f.epochs = getBuf(int(nb * epochLen))
+	}
+	return f, raw
 }
 
 // epoch is fetched block b's key-epoch tag.
@@ -270,10 +291,11 @@ func (f *objFetch) release() {
 // what: data is the ciphertext read (-1 for a probe), meta the metadata
 // source — the allocation sidecar attribute (LayoutNone), the object-end
 // region read, the OMAP key range, or under LayoutUnaligned the
-// interleaved stream itself, which a probe must therefore still read (the
-// one layout where presence costs a data transfer, another point against
-// Fig. 2a). The last of the n results is always the OpStat: the object's
-// logical size is a presence signal, so content never has to be.
+// interleaved stream itself, which carries the ciphertext too (a data
+// fetch opens it in place) and which a probe must therefore still read
+// (the one layout where presence costs a data transfer, another point
+// against Fig. 2a). The last of the n results is always the OpStat: the
+// object's logical size is a presence signal, so content never has to be.
 func (p *planner) fetchShape(withData bool) (data, meta, n int) {
 	data = -1
 	if withData {
@@ -346,16 +368,26 @@ func fillFrom(dst, src []byte) {
 
 // parseRead extracts ciphertext and metadata from read results and
 // reports, per block, whether the block was ever written. It is the
-// allocating convenience wrapper around parseFetch.
+// allocating convenience wrapper around parseFetch that tests use, and
+// the one place an unaligned stream is still de-strided.
 func (p *planner) parseRead(startBlock, nb int64, res []rados.Result) (cipher, metas []byte, present []bool, err error) {
+	bs, stride := p.blockSize, p.blockSize+p.metaLen
 	f := objFetch{
-		cipher:  make([]byte, nb*p.blockSize),
+		cipher:  make([]byte, nb*bs),
 		metas:   make([]byte, nb*p.metaLen),
 		present: make([]byte, nb),
 		epochs:  make([]byte, nb*epochLen),
 	}
+	if p.layout == LayoutUnaligned {
+		f.raw = make([]byte, nb*stride)
+	}
 	if err := p.parseFetch(startBlock, nb, true, res, &f); err != nil {
 		return nil, nil, nil, err
+	}
+	if f.raw != nil {
+		for b := int64(0); b < nb; b++ {
+			copy(f.cipher[b*bs:(b+1)*bs], f.raw[b*stride:])
+		}
 	}
 	present = make([]bool, nb)
 	for i, v := range f.present {
@@ -365,8 +397,9 @@ func (p *planner) parseRead(startBlock, nb int64, res []rados.Result) (cipher, m
 }
 
 // parseFetch decodes the results of fetchOps into f: per-block presence
-// and stored metadata always; with withData also the ciphertext and each
-// present block's key-epoch tag. It is the only place the presence rules
+// and stored metadata always; with withData also the ciphertext (left
+// interleaved in raw under LayoutUnaligned) and each present block's
+// key-epoch tag. It is the only place the presence rules
 // exist, so a probe and a data fetch cannot disagree:
 //
 //   - object StatusNotFound       → every block absent (sparse read);
@@ -395,8 +428,11 @@ func (p *planner) parseFetch(startBlock, nb int64, withData bool, res []rados.Re
 	clear(present)
 	var cipher, epochs []byte
 	if withData {
-		cipher, epochs = f.cipher[:nb*bs], f.epochs[:nb*epochLen]
+		epochs = f.epochs[:nb*epochLen]
 		clear(epochs)
+		if p.layout != LayoutUnaligned {
+			cipher = f.cipher[:nb*bs]
+		}
 	}
 	data, meta, n := p.fetchShape(withData)
 	if len(res) != n {
@@ -451,17 +487,16 @@ func (p *planner) parseFetch(startBlock, nb int64, withData bool, res []rados.Re
 		}
 
 	case LayoutUnaligned:
-		// The interleaved stream lands in its own buffer; cipher and
-		// metas are always de-strided copies.
-		clear(cipher)
-		clear(metas)
+		// The stream lands in raw (free when the in-process read already
+		// filled it) and stays interleaved: openBlock opens every block
+		// where it lies. Only the slots are copied out, for the presence
+		// and epoch rules below; raw's zeroed tail reads as empty slots.
 		stride := bs + ml
+		raw := f.raw[:nb*stride]
+		fillFrom(raw, src.Data)
 		fenceStep = stride
-		for b := int64(0); (b+1)*stride <= int64(len(src.Data)) && b < nb; b++ {
-			if withData {
-				copy(cipher[b*bs:(b+1)*bs], src.Data[b*stride:])
-			}
-			copy(metas[b*ml:(b+1)*ml], src.Data[b*stride+bs:])
+		for b := int64(0); b < nb; b++ {
+			copy(metas[b*ml:(b+1)*ml], raw[b*stride+bs:])
 		}
 
 	case LayoutObjectEnd:

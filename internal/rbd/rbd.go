@@ -367,26 +367,29 @@ func (img *Image) ReadAt(at vtime.Time, p []byte, off int64) (vtime.Time, error)
 	return img.ReadAtSnap(at, p, off, 0)
 }
 
-// ReadAtSnap reads from a snapshot (0 = head).
+// ReadAtSnap reads from a snapshot (0 = head). Each extent's read lands
+// straight in its slice of p (the in-process Dst fast path); over the
+// byte codec the result is copied there instead.
 func (img *Image) ReadAtSnap(at vtime.Time, p []byte, off int64, snapID uint64) (vtime.Time, error) {
 	exts, err := img.Extents(off, int64(len(p)))
 	if err != nil {
 		return at, err
 	}
+	dst := func(ext Extent) []byte { return p[ext.BufOff : ext.BufOff+ext.Length] }
 	return img.parallelSnap(at, exts, snapID, func(ext Extent) []rados.Op {
-		return []rados.Op{{Kind: rados.OpRead, Off: ext.ObjOff, Len: ext.Length}}
+		return []rados.Op{{Kind: rados.OpRead, Off: ext.ObjOff, Len: ext.Length, Dst: dst(ext)}}
 	}, func(ext Extent, res []rados.Result) error {
+		d := dst(ext)
 		switch res[0].Status {
 		case rados.StatusOK:
-			copy(p[ext.BufOff:ext.BufOff+ext.Length], res[0].Data)
 			// Short object reads (beyond object size) are zero-filled.
-			for i := int64(len(res[0].Data)); i < ext.Length; i++ {
-				p[ext.BufOff+i] = 0
+			n := len(res[0].Data)
+			if n == 0 || &res[0].Data[0] != &d[0] {
+				n = copy(d, res[0].Data)
 			}
+			clear(d[n:])
 		case rados.StatusNotFound:
-			for i := int64(0); i < ext.Length; i++ {
-				p[ext.BufOff+i] = 0
-			}
+			clear(d)
 		default:
 			return res[0].Status.Err()
 		}

@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/fault"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/attr"
@@ -362,9 +363,10 @@ func (d *Disk) WriteSectors(at vtime.Time, sector, n int64, p []byte) (vtime.Tim
 
 // ReadAt implements byte-granular reads for convenience layers (for
 // example the dm-crypt comparator). The access is charged as the covering
-// sector-aligned read. A sector-aligned access reads straight into p —
-// no covering buffer — which keeps the end-to-end read path free of
-// payload-sized allocations.
+// sector-aligned read. A sector-aligned access reads straight into p; a
+// misaligned one (an unaligned-layout stream whose length is not a
+// sector multiple) reads the covering sectors into a pooled buffer, so
+// neither allocates payload-sized memory.
 func (d *Disk) ReadAt(at vtime.Time, p []byte, off int64) (vtime.Time, error) {
 	if off < 0 {
 		return at, ErrOutOfRange
@@ -377,7 +379,8 @@ func (d *Disk) ReadAt(at vtime.Time, p []byte, off int64) (vtime.Time, error) {
 	if off%SectorSize == 0 && int64(len(p))%SectorSize == 0 {
 		return d.ReadSectors(at, first, last-first, p)
 	}
-	buf := make([]byte, (last-first)*SectorSize)
+	buf := bufpool.Get(int((last - first) * SectorSize))
+	defer bufpool.Put(buf)
 	end, err := d.ReadSectors(at, first, last-first, buf)
 	if err != nil {
 		return at, err
@@ -407,7 +410,10 @@ func (d *Disk) WriteAt(at vtime.Time, p []byte, off int64) (vtime.Time, error) {
 		return d.WriteSectors(at, first, n, p)
 	}
 
-	buf := make([]byte, n*SectorSize)
+	// The merge buffer is pooled: the boundary reads and p together cover
+	// every byte of it, and WriteSectors copies what it persists.
+	buf := bufpool.Get(int(n * SectorSize))
+	defer bufpool.Put(buf)
 	rmwEnd := at
 	// Read-modify-write of the boundary sectors when misaligned.
 	if headMisaligned {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 	"time"
@@ -217,6 +219,47 @@ func TestReadAtByteGranular(t *testing.T) {
 	}
 	if end, err := d.WriteAt(42, nil, 0); err != nil || end != 42 {
 		t.Fatalf("zero write: %v %v", end, err)
+	}
+}
+
+// TestMisalignedAccessAllocsBudget pins the byte-granular paths at no
+// payload-sized allocation: the covering read and the merge buffer come
+// from bufpool. The shape is an unaligned-layout 1 MiB stream (256 blocks
+// of 4096+20 bytes), which is not a sector multiple.
+func TestMisalignedAccessAllocsBudget(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if (s.Key == "-race" && s.Value == "true") || (s.Key == "-tags" && s.Value != "") {
+				t.Skipf("instrumented build (%s=%s) pools differently", s.Key, s.Value)
+			}
+		}
+	}
+	d := testDisk(1024)
+	p := make([]byte, 256*(4096+20))
+	const off = 3*SectorSize + 60
+	for name, op := range map[string]func(vtime.Time, []byte, int64) (vtime.Time, error){
+		"ReadAt": d.ReadAt, "WriteAt": d.WriteAt,
+	} {
+		run := func() {
+			if _, err := op(0, p, off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pool class
+		// The one allocation is bufpool.Put's slice header, never payload.
+		if got := testing.AllocsPerRun(20, run); got > 1 {
+			t.Errorf("misaligned %s: %.0f allocs/op, budget 1", name, got)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= SectorSize {
+			t.Errorf("misaligned %s: %d B/op, want under one sector", name, got)
+		}
 	}
 }
 
