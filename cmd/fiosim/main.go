@@ -61,7 +61,7 @@ func main() {
 		metrics    = flag.Bool("metrics", false, "dump the Prometheus-text telemetry snapshot after the run")
 		traces     = flag.Bool("traces", false, "dump recent and slow per-op trace spans after the run")
 		attrFlag   = flag.Bool("attr", false, "print the per-phase latency attribution table and slow-op critical paths after the run")
-		traceEvery = flag.Int64("trace-every", 0, "trace one in every N ops with a full wire-propagated span (0 = tracer default, 1 = every op)")
+		traceEvery = flag.Int64("trace-every", 0, "keep one in every N ops' trace span in the recent ring (0 = tracer default, 1 = every op)")
 		slowThresh = flag.Duration("slow-thresh", 0, "virtual latency at or past which an op is captured into the slow ring (0 = tracer default)")
 		healthFlag = flag.Bool("health", false, "evaluate the SLO health rules over the run window and print the verdict table")
 		chaosSeed  = flag.Int64("chaos-seed", 0, "arm a deterministic fault plan with this seed (0 = off) and verify every read: correct plaintext or loud error")

@@ -13,7 +13,6 @@ import (
 	"repro/internal/rados"
 	"repro/internal/rbd"
 	"repro/internal/simdisk"
-	"repro/internal/telemetry"
 	"repro/internal/vtime"
 )
 
@@ -115,11 +114,6 @@ func TestRoundTripAllCombos(t *testing.T) {
 // discard and rekey step — the core and rbd joins and a walker primitive
 // — end at the same virtual instants on two fresh stacks.
 func TestSingleClientVirtualTimeIsDeterministic(t *testing.T) {
-	// Which ops the process-global trace sampler picks moves virtual
-	// time (sampled replies carry their hops on the wire); pin it off.
-	telemetry.Ops.SetSampleEvery(1 << 30)
-	defer telemetry.Ops.SetSampleEvery(64)
-
 	for _, combo := range []struct {
 		Scheme Scheme
 		Layout Layout

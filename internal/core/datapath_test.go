@@ -383,6 +383,11 @@ func TestHotPathAllocBudget(t *testing.T) {
 	// The byte ceiling is well under one block: a de-stride buffer or a
 	// per-read covering buffer (1 MiB each) coming back fails here.
 	const bulkBytesCeiling = 16 << 10
+	// sync.Pool keeps a private slot per P: a read that migrates to
+	// another P misses the buffer it just put back and refills a 1 MiB
+	// one. One P over the warm-up and both windows keeps the scheduler
+	// out of the measurement.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range []struct {
 		scheme Scheme
 		budget float64

@@ -84,7 +84,6 @@ func (c *Client) operate(at vtime.Time, osd int, pool, object string, snapc Snap
 		Object:    object,
 		SnapID:    snapID,
 		SnapSeq:   snapc.Seq,
-		TraceID:   sp.TraceID(), // 0 when unsampled — "untraced" on the wire
 		Ops:       ops,
 		Replica:   replica,
 		Span:      sp,
@@ -103,7 +102,6 @@ func (c *Client) operate(at vtime.Time, osd int, pool, object string, snapc Snap
 		sp.Finish(end)
 		return nil, end, err
 	}
-	mergeWireHops(sp, reply.Hops)
 	mClientLat.Observe(end.Sub(at))
 	attr.ObserveOp(cls, end.Sub(at))
 	sp.Finish(end)
@@ -162,19 +160,6 @@ func attrClassOf(ops []Op) int {
 		return attr.OpRead
 	}
 	return attr.OpOther
-}
-
-// mergeWireHops stitches the server-reported trace hops (OSD serve,
-// replica serves, replication fan-out) into the client's span — the
-// receiving end of the wire-propagated trace context. Nil-safe like
-// every span call; untraced requests answer with no hops.
-func mergeWireHops(sp *telemetry.Span, hops []telemetry.Hop) {
-	if sp == nil {
-		return
-	}
-	for _, h := range hops {
-		sp.Hop(h.Name, h.Start, h.End)
-	}
 }
 
 // Write is a convenience wrapper for a single data write.

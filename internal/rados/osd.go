@@ -11,7 +11,6 @@ import (
 	"repro/internal/crush"
 	"repro/internal/msgr"
 	"repro/internal/simdisk"
-	"repro/internal/telemetry"
 	"repro/internal/telemetry/attr"
 	"repro/internal/vtime"
 )
@@ -241,7 +240,7 @@ func (o *OSD) serve(at vtime.Time, req *Request) (*Reply, vtime.Time, error) {
 	end := localEnd
 	replicated := false
 	if mutating && !req.Replica {
-		end, replicated, err = o.replicate(at, req, end, reply)
+		end, replicated, err = o.replicate(at, req, end)
 		if err != nil {
 			m.errors.Inc()
 			return nil, at, err
@@ -255,21 +254,11 @@ func (o *OSD) serve(at vtime.Time, req *Request) (*Reply, vtime.Time, error) {
 			attr.Observe(cls, attr.PhaseReplicate, end.Sub(at))
 		}
 	}
-	// Hop reporting rides the reply rather than a local span: the hop
-	// list travels the wire back, so the client (and, for replica
-	// forwards, the primary) merges every remote hop into the one
-	// client-side timeline — including across the byte codec, where no
-	// span pointer can travel. Traced requests always answer with their
-	// timing; untraced ones self-promote when the serve crossed the
-	// slow-op threshold, so a latency-spiked replica reports its serve
-	// hop even mid-stride and the tail is captured 100% of the time.
-	// The promotion reads the shared tracer threshold, so it fires
-	// identically on both wire forms.
-	if req.TraceID != 0 || end.Sub(entry) >= telemetry.Ops.SlowThreshold() {
-		reply.Hops = append(reply.Hops, telemetry.Hop{Name: m.serveHop, Start: entry, End: localEnd})
-		if replicated {
-			reply.Hops = append(reply.Hops, telemetry.Hop{Name: m.replHop, Start: at, End: end})
-		}
+	// The hops go into the op's span, like the transport's: every op
+	// carries one, so a slow op's record holds its full breakdown.
+	req.Span.Hop(m.serveHop, entry, localEnd)
+	if replicated {
+		req.Span.Hop(m.replHop, at, end)
 	}
 	m.serveLat.Observe(end.Sub(entry))
 	return reply, end, nil
@@ -278,11 +267,10 @@ func (o *OSD) serve(at vtime.Time, req *Request) (*Reply, vtime.Time, error) {
 // replicate runs primary-copy replication: the request is forwarded to
 // the other replicas in replica-set order, every forward issued at the
 // same virtual instant (vtime.Join), one roundTrip per peer, and the
-// write is acknowledged when every copy is durable. The replicas' reply
-// hops are merged into reply so the client's stitched timeline includes
-// every replica serve. It reports whether anything was forwarded: a
-// replica set of just the primary is not a replication.
-func (o *OSD) replicate(at vtime.Time, req *Request, end vtime.Time, reply *Reply) (vtime.Time, bool, error) {
+// write is acknowledged when every copy is durable. It reports whether
+// anything was forwarded: a replica set of just the primary is not a
+// replication.
+func (o *OSD) replicate(at vtime.Time, req *Request, end vtime.Time) (vtime.Time, bool, error) {
 	pg := o.cmap.PG(req.Pool, req.Object)
 	replicas := o.cmap.OSDsFor(pg)
 	conns := make([]msgr.Conn, 0, len(replicas)-1)
@@ -303,23 +291,13 @@ func (o *OSD) replicate(at vtime.Time, req *Request, end vtime.Time, reply *Repl
 	}
 
 	// The forward shares the request's op vector (read-only on the peer)
-	// with the replica flag set, so no payload is re-staged. The span
-	// pointer does NOT travel — it cannot cross the byte codec — but the
-	// TraceID does (the struct copy keeps it): each replica reports its
-	// serve hop in its reply, merged below.
+	// and its span with the replica flag set, so no payload is re-staged
+	// and each leg's transport and serve hops land in the op's span.
 	fwd := *req
 	fwd.Replica = true
-	fwd.Span = nil
 
 	acked, err := vtime.Join(at, len(conns), func(i int) (vtime.Time, error) {
-		r, legEnd, err := roundTrip(conns[i], at, &fwd)
-		if err == nil {
-			// Hops are harvested from every ack, traced or not: an
-			// untraced replica whose serve crossed the slow threshold
-			// self-promotes its serve hop, and dropping it here would
-			// blind the tail capture to the straggler.
-			reply.Hops = append(reply.Hops, r.Hops...)
-		}
+		_, legEnd, err := roundTrip(conns[i], at, &fwd)
 		return legEnd, err
 	})
 	if err != nil {

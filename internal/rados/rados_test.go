@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/simdisk"
-	"repro/internal/telemetry"
 	"repro/internal/vtime"
 )
 
@@ -367,12 +366,6 @@ func TestVirtualTimeAdvances(t *testing.T) {
 // consecutive ops queue on shared CPUs, NICs and disks and any
 // host-ordered reservation shows up as a moved end time.
 func TestSingleClientVirtualTimeIsDeterministic(t *testing.T) {
-	// A sampled request's reply carries its hops on the wire and
-	// WireLen charges them, so which ops the process-global 1-in-64 tick
-	// picks moves virtual time (ROADMAP item 3). Pin it off.
-	telemetry.Ops.SetSampleEvery(1 << 30)
-	defer telemetry.Ops.SetSampleEvery(64)
-
 	const ops, objects = 400, 13
 	run := func() []vtime.Time {
 		_, cl := testCluster(t)

@@ -3,12 +3,9 @@ package rados
 // tailcapture_test.go pins the tail-latency capture contract: slow-op
 // retention is exact, not sampled. With the tracer sampling 1-in-64 and
 // a latency spike injected on one replica OSD, EVERY over-threshold
-// write must land in the slow ring with its phase breakdown — the OSDs
-// self-promote their hops onto the reply when their local time crosses
-// the shared threshold, whether or not the request carried a trace id —
-// and the critical-path analyzer must name the straggler OSD's
-// replicate phase. Both wire forms are held to the same contract: the
-// typed fast path and the marshalled byte codec.
+// write must land in the slow ring with its phase breakdown — every op's
+// span holds every hop, sampled or not — and the critical-path analyzer
+// must name the straggler OSD's replicate phase.
 
 import (
 	"bytes"
@@ -58,8 +55,8 @@ func writeReplicateCount() int64 {
 }
 
 func TestTailCaptureLatencySpike(t *testing.T) {
-	// Stride-misaligned sampling: 1-in-64 with ~20 ops per path means at
-	// most one op per path is in the trace sample. Capture must not care.
+	// Stride-misaligned sampling: 1-in-64 with ~20 ops means at
+	// most one op is in the trace sample. Capture must not care.
 	telemetry.Ops.SetSampleEvery(64)
 	defer telemetry.Ops.SetSampleEvery(64)
 	thresh := telemetry.Ops.SlowThreshold()
@@ -70,122 +67,105 @@ func TestTailCaptureLatencySpike(t *testing.T) {
 	spiked := fmt.Sprintf("osd%d", spikedID)
 	const writes = 20
 
-	typedCluster, typedCl := newWireCluster(t, 3, 3)
-	// The byte row crosses the codec on every leg: the straggler replica's
-	// promoted hop reaches the primary inside a marshalled ack.
-	byteCluster, rawCl := newWireCluster(t, 3, 3)
-	bytePeers(byteCluster)
-	byteCl := byteClient(rawCl)
+	c, cl := newWireCluster(t, 3, 3)
+	t.Run("typed", func(t *testing.T) {
+		// 30 ms spike vs the 10 ms default threshold: with 3-way
+		// replication on 3 OSDs every write touches the spiked OSD as
+		// primary or replica, so every write is over threshold.
+		disarm := spikeOSD(c, spikedID, 30*time.Millisecond)
+		defer disarm()
 
-	for _, tc := range []struct {
-		path string
-		c    *Cluster
-		cl   *Client
-	}{
-		{"typed", typedCluster, typedCl},
-		{"bytes", byteCluster, byteCl},
-	} {
-		t.Run(tc.path, func(t *testing.T) {
-			// 30 ms spike vs the 10 ms default threshold: with 3-way
-			// replication on 3 OSDs every write touches the spiked OSD as
-			// primary or replica, so every write is over threshold.
-			disarm := spikeOSD(tc.c, spikedID, 30*time.Millisecond)
-			defer disarm()
-
-			data := bytes.Repeat([]byte{0xC3}, 4096)
-			targets := make(map[string]bool, writes)
-			var at vtime.Time
-			for i := 0; i < writes; i++ {
-				obj := fmt.Sprintf("tail-%s-%d", tc.path, i)
-				targets[obj] = true
-				// Sequential in virtual time: each write starts when the
-				// previous finished, so no op queues on the client NIC and
-				// the spike is the only latency source.
-				_, end, err := tc.cl.Operate(at, "rbd", obj, SnapContext{}, 0,
-					[]Op{{Kind: OpWrite, Off: 0, Data: data}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				at = end
+		data := bytes.Repeat([]byte{0xC3}, 4096)
+		targets := make(map[string]bool, writes)
+		var at vtime.Time
+		for i := 0; i < writes; i++ {
+			obj := fmt.Sprintf("tail-typed-%d", i)
+			targets[obj] = true
+			// Sequential in virtual time: each write starts when the
+			// previous finished, so no op queues on the client NIC and
+			// the spike is the only latency source.
+			_, end, err := cl.Operate(at, "rbd", obj, SnapContext{}, 0,
+				[]Op{{Kind: OpWrite, Off: 0, Data: data}})
+			if err != nil {
+				t.Fatal(err)
 			}
+			at = end
+		}
 
-			slow := telemetry.Ops.Slow()
-			captured := map[string]telemetry.SpanRecord{}
-			unsampled := 0
-			for _, rec := range slow {
-				if targets[rec.Target] {
-					captured[rec.Target] = rec
-					if !rec.Sampled {
-						unsampled++
-					}
+		slow := telemetry.Ops.Slow()
+		captured := map[string]telemetry.SpanRecord{}
+		unsampled := 0
+		for _, rec := range slow {
+			if targets[rec.Target] {
+				captured[rec.Target] = rec
+				if !rec.Sampled {
+					unsampled++
 				}
 			}
+		}
 
-			// 100% capture: every over-threshold write is in the ring.
-			if len(captured) != writes {
-				t.Fatalf("captured %d of %d over-threshold writes; slow ring holds %d",
-					len(captured), writes, len(slow))
-			}
-			// The point of the contract: nearly all of them were outside
-			// the 1-in-64 trace sample and still carry full breakdowns.
-			if unsampled == 0 {
-				t.Fatalf("all %d captured writes were trace-sampled; stride misalignment not exercised", writes)
-			}
+		// 100% capture: every over-threshold write is in the ring.
+		if len(captured) != writes {
+			t.Fatalf("captured %d of %d over-threshold writes; slow ring holds %d",
+				len(captured), writes, len(slow))
+		}
+		// The point of the contract: nearly all of them were outside
+		// the 1-in-64 trace sample and still carry full breakdowns.
+		if unsampled == 0 {
+			t.Fatalf("all %d captured writes were trace-sampled; stride misalignment not exercised", writes)
+		}
 
-			stragglers := 0
-			for obj, rec := range captured {
-				if rec.Duration() < thresh {
-					t.Errorf("%s captured below threshold: %v < %v", obj, rec.Duration(), thresh)
-				}
-				p := profileOf(rec)
-				// Phase breakdown: the primary self-promotes its serve and
-				// replicate hops (its total time includes the spiked
-				// fan-out), and the spiked OSD's serve hop is harvested off
-				// the reply even on untraced requests.
-				if !p.serves[spiked+":serve"] {
-					t.Errorf("%s (sampled=%v) missing %s serve hop: serves=%v",
-						obj, rec.Sampled, spiked, p.serves)
-				}
-				if len(p.replicates) != 1 {
-					t.Errorf("%s (sampled=%v) carries %d replicate hops, want 1",
-						obj, rec.Sampled, len(p.replicates))
-				}
-
-				cp := attr.AnalyzeSpan(rec)
-				for name := range p.replicates {
-					if strings.HasPrefix(name, spiked+":") {
-						continue // spiked OSD was the primary: no straggler child
-					}
-					// Spiked OSD was a replica: the analyzer must name it as
-					// the straggler and blame the replicate phase.
-					stragglers++
-					if cp.Straggler != spiked {
-						t.Errorf("%s: straggler = %q, want %s\n%s", obj, cp.Straggler, spiked, cp)
-					}
-					if cp.Dominant != attr.PhaseReplicate {
-						t.Errorf("%s: dominant = %v, want replicate\n%s", obj, cp.Dominant, cp)
-					}
-				}
+		stragglers := 0
+		for obj, rec := range captured {
+			if rec.Duration() < thresh {
+				t.Errorf("%s captured below threshold: %v < %v", obj, rec.Duration(), thresh)
 			}
-			// With 16 PGs over 3 OSDs some writes land the spiked OSD as a
-			// replica, not the primary — the straggler shape must occur.
-			if stragglers == 0 {
-				t.Errorf("no write had %s as a replica straggler across %d objects", spiked, writes)
+			p := profileOf(rec)
+			// Phase breakdown: the primary's serve and replicate hops
+			// and the spiked OSD's serve hop, on unsampled ops too.
+			if !p.serves[spiked+":serve"] {
+				t.Errorf("%s (sampled=%v) missing %s serve hop: serves=%v",
+					obj, rec.Sampled, spiked, p.serves)
+			}
+			if len(p.replicates) != 1 {
+				t.Errorf("%s (sampled=%v) carries %d replicate hops, want 1",
+					obj, rec.Sampled, len(p.replicates))
 			}
 
-			// Slow ring comes back sorted by span end, newest first.
-			for i := 1; i < len(slow); i++ {
-				if slow[i].End > slow[i-1].End {
-					t.Errorf("slow ring not sorted by end: [%d]=%d after [%d]=%d",
-						i, slow[i].End, i-1, slow[i-1].End)
+			cp := attr.AnalyzeSpan(rec)
+			for name := range p.replicates {
+				if strings.HasPrefix(name, spiked+":") {
+					continue // spiked OSD was the primary: no straggler child
+				}
+				// Spiked OSD was a replica: the analyzer must name it as
+				// the straggler and blame the replicate phase.
+				stragglers++
+				if cp.Straggler != spiked {
+					t.Errorf("%s: straggler = %q, want %s\n%s", obj, cp.Straggler, spiked, cp)
+				}
+				if cp.Dominant != attr.PhaseReplicate {
+					t.Errorf("%s: dominant = %v, want replicate\n%s", obj, cp.Dominant, cp)
 				}
 			}
-		})
-	}
+		}
+		// With 16 PGs over 3 OSDs some writes land the spiked OSD as a
+		// replica, not the primary — the straggler shape must occur.
+		if stragglers == 0 {
+			t.Errorf("no write had %s as a replica straggler across %d objects", spiked, writes)
+		}
 
-	// The always-on accounting saw every replicated write on both paths,
-	// spiked or not — it is fed by the serve path, not the trace sample.
-	if got := writeReplicateCount() - attrBefore; got < 2*writes {
-		t.Errorf("attribution recorded %d write replicate phases, want >= %d", got, 2*writes)
+		// Slow ring comes back sorted by span end, newest first.
+		for i := 1; i < len(slow); i++ {
+			if slow[i].End > slow[i-1].End {
+				t.Errorf("slow ring not sorted by end: [%d]=%d after [%d]=%d",
+					i, slow[i].End, i-1, slow[i-1].End)
+			}
+		}
+	})
+
+	// The always-on accounting saw every replicated write, spiked or
+	// not — it is fed by the serve path, not the trace sample.
+	if got := writeReplicateCount() - attrBefore; got < writes {
+		t.Errorf("attribution recorded %d write replicate phases, want >= %d", got, writes)
 	}
 }

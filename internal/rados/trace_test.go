@@ -1,17 +1,16 @@
 package rados
 
-// trace_test.go pins wire trace-context propagation: a replicated
-// write's span must carry the transport hops plus a serve hop from the
-// PRIMARY AND EVERY REPLICA and the primary's replication window — on
-// the typed fast path and, crucially, on the byte path, where the hops
-// can only have crossed inside the marshalled reply. Before trace ids
-// rode the request header, replica forwards carried a nil span and the
-// replica serve hops silently vanished from the timeline.
+// trace_test.go pins the op span as the one trace context: a
+// replicated write's span must carry the transport hops of every leg, a
+// serve hop from the PRIMARY AND EVERY REPLICA and the primary's
+// replication window, all recorded in place by the component that did
+// the work — and none of it may move virtual time.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -22,19 +21,13 @@ import (
 
 // hopProfile classifies one finished span's hops.
 type hopProfile struct {
-	msgrReq, msgrResp bool
-	serves            map[string]bool
-	replicates        map[string]bool
+	serves, replicates map[string]bool
 }
 
 func profileOf(rec telemetry.SpanRecord) hopProfile {
 	p := hopProfile{serves: map[string]bool{}, replicates: map[string]bool{}}
 	for i := 0; i < rec.NHops; i++ {
 		switch name := rec.Hops[i].Name; {
-		case name == "msgr:req":
-			p.msgrReq = true
-		case name == "msgr:resp":
-			p.msgrResp = true
 		case strings.HasSuffix(name, ":serve"):
 			p.serves[name] = true
 		case strings.HasSuffix(name, ":replicate"):
@@ -44,66 +37,134 @@ func profileOf(rec telemetry.SpanRecord) hopProfile {
 	return p
 }
 
+// TestTraceCompletenessReplicatedWrite asserts the full breakdown of a
+// 3-replica typed write: the client's msgr:req and msgr:resp, the
+// primary's serve and replicate, and msgr:req, serve and msgr:resp per
+// replica — 10 hops. Sampling only picks the ring a span lands in: with
+// the slow threshold at 0, an unsampled op's span files into the slow
+// ring with the same 10 hops.
 func TestTraceCompletenessReplicatedWrite(t *testing.T) {
-	telemetry.Ops.SetSampleEvery(1)
 	defer telemetry.Ops.SetSampleEvery(64)
+	defer telemetry.Ops.SetSlowThreshold(telemetry.Ops.SlowThreshold())
 
-	_, typedCl := newWireCluster(t, 3, 3)
-	_, rawCl := newWireCluster(t, 3, 3)
-	byteCl := byteClient(rawCl)
-
+	_, cl := newWireCluster(t, 3, 3)
 	for _, tc := range []struct {
-		path string
-		cl   *Client
-		// The typed messenger sees the span and records the transport
-		// hops; the byte codec carries only the trace id, so its spans
-		// hold the OSD-reported hops alone.
-		wantMsgr bool
+		name   string
+		every  int64
+		thresh vtime.Duration
+		ring   func() []telemetry.SpanRecord
 	}{
-		{"typed", typedCl, true},
-		{"bytes", byteCl, false},
+		{"typed", 1, telemetry.Ops.SlowThreshold(), telemetry.Ops.Recent},
+		{"unsampled-slow", 1 << 30, 0, telemetry.Ops.Slow},
 	} {
-		t.Run(tc.path, func(t *testing.T) {
-			obj := fmt.Sprintf("trace-%s", tc.path)
+		t.Run(tc.name, func(t *testing.T) {
+			telemetry.Ops.SetSampleEvery(tc.every)
+			telemetry.Ops.SetSlowThreshold(tc.thresh)
+			obj := "trace-" + tc.name
 			data := bytes.Repeat([]byte{0x5A}, 4096)
-			if _, _, err := tc.cl.Operate(0, "rbd", obj, SnapContext{}, 0,
+			if _, _, err := cl.Operate(0, "rbd", obj, SnapContext{}, 0,
 				[]Op{{Kind: OpWrite, Off: 0, Data: data}}); err != nil {
 				t.Fatal(err)
 			}
 
 			var rec telemetry.SpanRecord
 			found := false
-			for _, r := range telemetry.Ops.Recent() {
+			for _, r := range tc.ring() {
 				if r.Target == obj {
 					rec, found = r, true
 					break
 				}
 			}
 			if !found {
-				t.Fatalf("no finished span for %s among %d recent", obj, len(telemetry.Ops.Recent()))
+				t.Fatalf("no finished span for %s in the ring", obj)
+			}
+			if rec.Sampled != (tc.every == 1) {
+				t.Errorf("span sampled=%v at every=%d", rec.Sampled, tc.every)
 			}
 
-			p := profileOf(rec)
-			// Replicas=3 on 3 OSDs: the primary and both replicas each
-			// contribute their own per-OSD serve hop, and the primary
-			// reports one replication window.
-			if tc.wantMsgr && (!p.msgrReq || !p.msgrResp) {
-				t.Errorf("transport hops missing: req=%v resp=%v", p.msgrReq, p.msgrResp)
+			osds := cl.ReplicasFor("rbd", obj)
+			primary := fmt.Sprintf("osd%d", osds[0])
+			want := map[string]int{
+				"msgr:req":             3,
+				"msgr:resp":            3,
+				primary + ":replicate": 1,
 			}
-			if len(p.serves) != 3 {
-				t.Errorf("span carries %d serve hops %v, want 3 (primary + 2 replicas)", len(p.serves), p.serves)
+			for _, id := range osds {
+				want[fmt.Sprintf("osd%d:serve", id)] = 1
 			}
-			if len(p.replicates) != 1 {
-				t.Errorf("span carries %d replicate hops %v, want 1", len(p.replicates), p.replicates)
-			}
-			for i := 0; i < rec.NHops; i++ {
-				h := rec.Hops[i]
-				if h.End < h.Start || vtime.Time(h.Start) < rec.Start {
+			got := map[string]int{}
+			for _, h := range rec.Hops[:rec.NHops] {
+				got[h.Name]++
+				if h.End < h.Start || h.Start < rec.Start || h.End > rec.End {
 					t.Errorf("hop %s has incoherent timeline [%d,%d] in span [%d,%d]",
 						h.Name, h.Start, h.End, rec.Start, rec.End)
 				}
 			}
+			if rec.NHops != 10 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("span carries %d hops %v, want 10: %v", rec.NHops, got, want)
+			}
+			// The client's own transport hops open and close the span.
+			first, last := rec.Hops[0], rec.Hops[rec.NHops-1]
+			if first.Name != "msgr:req" || first.Start != rec.Start {
+				t.Errorf("first hop %+v, want the client's msgr:req from %d", first, rec.Start)
+			}
+			if last.Name != "msgr:resp" || last.End != rec.End {
+				t.Errorf("last hop %+v, want the client's msgr:resp to %d", last, rec.End)
+			}
 		})
+	}
+}
+
+// TestTracingNeverMovesVirtualTime runs one fixed sequence of
+// replicated writes, reads and an OMAP op on fresh clusters under every
+// tracing setting: the span is client-local, so every op must end at
+// the same instant whether it is sampled, unsampled, or filed as slow.
+func TestTracingNeverMovesVirtualTime(t *testing.T) {
+	defer telemetry.Ops.SetSampleEvery(64)
+	defer telemetry.Ops.SetSlowThreshold(telemetry.Ops.SlowThreshold())
+	thresh := telemetry.Ops.SlowThreshold()
+
+	const pairs = 40
+	run := func(every int64, slow vtime.Duration) []vtime.Time {
+		telemetry.Ops.SetSampleEvery(every)
+		telemetry.Ops.SetSlowThreshold(slow)
+		_, cl := newWireCluster(t, 3, 3)
+		data := bytes.Repeat([]byte{0x3C}, 4096)
+		iv := bytes.Repeat([]byte{0xAB}, 16)
+		var ends []vtime.Time
+		var at vtime.Time
+		step := func(obj string, ops []Op) {
+			_, end, err := cl.Operate(at, "rbd", obj, SnapContext{}, 0, ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ends = append(ends, end)
+			at = end
+		}
+		for i := 0; i < pairs; i++ {
+			obj := fmt.Sprintf("vt-%d", i%5)
+			step(obj, []Op{{Kind: OpWrite, Off: int64(i%3) * 4096, Data: data}})
+			step(obj, []Op{{Kind: OpRead, Off: int64(i%3) * 4096, Len: 4096}})
+		}
+		step("vt-omap", []Op{{Kind: OpOmapSet, Pairs: []Pair{{Key: []byte("iv.0"), Value: iv}}}})
+		return ends
+	}
+
+	base := run(1<<30, thresh)
+	for _, tc := range []struct {
+		name  string
+		every int64
+		slow  vtime.Duration
+	}{
+		{"sample-every-op", 1, thresh},
+		{"slow-threshold-0", 1 << 30, 0},
+	} {
+		got := run(tc.every, tc.slow)
+		for i := range base {
+			if got[i] != base[i] {
+				t.Fatalf("%s: op %d ends at %d, %d with sampling off", tc.name, i, got[i], base[i])
+			}
+		}
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/telemetry"
-	"repro/internal/vtime"
 )
 
 // OpKind enumerates object operations.
@@ -181,19 +180,18 @@ type Request struct {
 	Object  string
 	SnapID  uint64 // read source: 0 = head, else snapshot id
 	SnapSeq uint64 // write snap context
-	TraceID uint64 // wire trace context: 0 = untraced
 	Replica bool   // internal: apply locally, do not re-replicate
 	Ops     []Op
 
-	// Span, when non-nil, is the telemetry trace for this request. Like
-	// Op.Dst it is client-local plumbing — never marshaled, absent from
-	// WireLen — and a span admits one writer at a time, so the
-	// replication fan-out clears it on forwards (replicas run on their
-	// own goroutines). The trace *context* travels anyway: TraceID is a
-	// real header field on both wire forms, servers answer traced
-	// requests with their serve hops in Reply.Hops, and the client (or
-	// the forwarding primary) merges those back into the span — so
-	// replica serves and byte-codec crossings stitch into one timeline.
+	// Span, when non-nil, is the telemetry trace for this request and
+	// the only trace context there is. Like Op.Dst it is client-local
+	// plumbing — never marshaled, absent from WireLen — so tracing can
+	// never change what the cost model charges. The transport and every
+	// OSD that serves the request record their hops straight into it,
+	// replicas included: the replication fan-out keeps the span on its
+	// forwards, and vtime.Join runs every leg on the caller's goroutine,
+	// so one goroutine writes the span for the whole op. A request
+	// decoded off the byte codec has no span and records nothing.
 	Span *telemetry.Span
 
 	// AttrClass is the request's attribution class (an attr op index),
@@ -213,17 +211,9 @@ func (r *Request) TraceSpan() *telemetry.Span { return r.Span }
 // always-on attribution histograms without importing this package.
 func (r *Request) AttrOp() int { return r.AttrClass }
 
-// Reply carries one Result per request op, plus the server-side trace
-// hops (the OSD's serve timing and, on a primary's reply, the merged
-// replica hops and the replication fan-out). Hops is empty on untraced
-// requests unless the serve crossed the slow-op threshold — OSDs
-// self-promote over-threshold serves so the tail is always captured —
-// so tracing costs wire bytes only on sampled or slow ops; both wire
-// forms carry it identically, so WireLen stays a pure function of
-// message content.
+// Reply carries one Result per request op.
 type Reply struct {
 	Results []Result
-	Hops    []telemetry.Hop
 }
 
 // ---- wire encoding ----
@@ -355,7 +345,7 @@ func pairsWireLen(ps []Pair) int {
 // charges it to the network cost model so both wire forms cost the same
 // virtual time.
 func (q *Request) WireLen() int {
-	n := 4 + len(q.Pool) + 4 + len(q.Object) + 8 + 8 + 8 + 1 + 4
+	n := 4 + len(q.Pool) + 4 + len(q.Object) + 8 + 8 + 1 + 4
 	for _, op := range q.Ops {
 		n += 1 + 8 + 8 + 4 + len(op.Key) + 4 + len(op.Key2) + 4 + len(op.Data) + pairsWireLen(op.Pairs)
 	}
@@ -367,10 +357,6 @@ func (p *Reply) WireLen() int {
 	n := 4
 	for _, res := range p.Results {
 		n += 4 + 8 + 4 + len(res.Data) + pairsWireLen(res.Pairs)
-	}
-	n += 4
-	for _, h := range p.Hops {
-		n += 4 + len(h.Name) + 8 + 8
 	}
 	return n
 }
@@ -429,7 +415,6 @@ func marshalRequestInto(q *Request, w *segWriter) {
 	w.str(q.Object)
 	w.u64(q.SnapID)
 	w.u64(q.SnapSeq)
-	w.u64(q.TraceID)
 	if q.Replica {
 		w.u8(1)
 	} else {
@@ -457,13 +442,6 @@ func marshalReplyInto(p *Reply, w *segWriter) {
 		w.i64(res.Size)
 		w.bytes(res.Data)
 		w.pairs(res.Pairs)
-	}
-	w.u32(uint32(len(p.Hops)))
-	for i := range p.Hops {
-		h := &p.Hops[i]
-		w.str(h.Name)
-		w.i64(int64(h.Start))
-		w.i64(int64(h.End))
 	}
 	w.flushRun()
 }
@@ -514,7 +492,6 @@ func UnmarshalRequest(b []byte) (*Request, error) {
 		Object:  r.str(),
 		SnapID:  r.u64(),
 		SnapSeq: r.u64(),
-		TraceID: r.u64(),
 		Replica: r.u8() == 1,
 	}
 	n := int(r.u32())
@@ -566,24 +543,6 @@ func UnmarshalReply(b []byte) (*Reply, error) {
 			return nil, r.err
 		}
 		p.Results = append(p.Results, res)
-	}
-	nh := int(r.u32())
-	// Fixed times plus an empty name bound a hostile hop count. Hop
-	// names cross the codec as owned strings (str copies), so they never
-	// alias b.
-	if r.err != nil || nh < 0 || nh > (len(b)-r.off)/20 {
-		return nil, ErrWire
-	}
-	for i := 0; i < nh; i++ {
-		h := telemetry.Hop{
-			Name:  r.str(),
-			Start: vtime.Time(r.i64()),
-			End:   vtime.Time(r.i64()),
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		p.Hops = append(p.Hops, h)
 	}
 	if r.off != len(b) {
 		return nil, ErrWire

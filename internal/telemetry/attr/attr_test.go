@@ -111,7 +111,7 @@ func TestPhaseOfHop(t *testing.T) {
 // two replica serves nested inside (osd2 the straggler), reply transit.
 func replicatedWriteSpan() telemetry.SpanRecord {
 	rec := telemetry.SpanRecord{
-		TraceID: 7, Op: "write", Target: "rbd/img/obj.3",
+		Op: "write", Target: "rbd/img/obj.3",
 		Start: 0, End: 1000, Sampled: true,
 	}
 	hops := []telemetry.Hop{
@@ -174,6 +174,59 @@ func TestAnalyzeSpan(t *testing.T) {
 	}
 	if !strings.Contains(out, "dominant=replicate") {
 		t.Errorf("rendering missing dominant phase:\n%s", out)
+	}
+}
+
+// TestAnalyzeSpanReplicaLegWire feeds the analyzer the hop list a
+// 3-replica write records, in recording order: each replica leg's
+// msgr:req, serve and msgr:resp nest inside the replicate window, and
+// their wire time (550) plus the client's (200) exceeds the window
+// (600). Every hop starting in [replicate.Start, replicate.End) is a
+// child, so the legs' wire time is not counted twice and replicate
+// dominates. The
+// client's msgr:resp starts exactly at the window's end and stays
+// top-level.
+func TestAnalyzeSpanReplicaLegWire(t *testing.T) {
+	rec := telemetry.SpanRecord{Op: "write", Target: "rbd/img/obj.5", Start: 0, End: 1000}
+	hops := []telemetry.Hop{
+		{Name: "msgr:req", Start: 0, End: 100},
+		{Name: "msgr:req", Start: 300, End: 400},
+		{Name: "osd1:serve", Start: 400, End: 500},
+		{Name: "msgr:resp", Start: 500, End: 600},
+		{Name: "msgr:req", Start: 300, End: 450},
+		{Name: "osd2:serve", Start: 450, End: 700},
+		{Name: "msgr:resp", Start: 700, End: 900},
+		{Name: "osd0:serve", Start: 100, End: 300},
+		{Name: "osd0:replicate", Start: 300, End: 900},
+		{Name: "msgr:resp", Start: 900, End: 1000},
+	}
+	for i, h := range hops {
+		rec.Hops[i] = h
+	}
+	rec.NHops = len(hops)
+
+	cp := AnalyzeSpan(rec)
+	if cp.Dominant != PhaseReplicate {
+		t.Fatalf("dominant = %v, want replicate\n%s", cp.Dominant, cp)
+	}
+	if cp.Straggler != "osd2" {
+		t.Fatalf("straggler = %q, want osd2\n%s", cp.Straggler, cp)
+	}
+	children := 0
+	for _, st := range cp.Steps {
+		inWindow := st.Name != "osd0:replicate" && st.Start >= 300 && st.Start < 900
+		if st.Child != inWindow {
+			t.Errorf("step %s [%d,%d) child=%v, want %v", st.Name, st.Start, st.End, st.Child, inWindow)
+		}
+		if st.Child {
+			children++
+		}
+		if st.Name == "msgr:resp" && st.Start == 900 && (st.Child || !st.Critical) {
+			t.Errorf("client msgr:resp at the window end: child=%v critical=%v, want top-level", st.Child, st.Critical)
+		}
+	}
+	if children != 6 {
+		t.Errorf("%d children, want 6 (three hops per replica leg)\n%s", children, cp)
 	}
 }
 

@@ -1,13 +1,14 @@
 package attr
 
 // critpath.go reduces a finished trace span to its critical path. A
-// replicated write's hop list (harvested off the wire by the primary
-// and merged client-side) is flat but structured by construction: the
-// primary's serve hop starts before its replicate hop, and every
-// replica serve hop nests inside the replicate window. The analyzer
-// rebuilds that parent/child tree, names the straggler replica that
-// bounded the fan-out, and reports the dominant phase — the "where did
-// the time go" answer for one slow op.
+// replicated write's hop list (recorded into the op's span by the
+// transport and every OSD that served it) is flat but structured by
+// construction: the primary's serve hop starts before its replicate
+// hop, and every replica leg's hops — transport and serve — nest
+// inside the replicate window. The analyzer rebuilds that parent/child
+// tree, names the straggler replica that bounded the fan-out, and
+// reports the dominant phase — the "where did the time go" answer for
+// one slow op.
 
 import (
 	"fmt"
@@ -23,7 +24,7 @@ type Step struct {
 	Phase     Phase
 	Start     vtime.Time
 	End       vtime.Time
-	Child     bool // replica serve nested inside the replicate window
+	Child     bool // replica-leg hop nested inside the replicate window
 	Critical  bool // on the critical path
 	Straggler bool // the replica serve that bounded the replicate window
 }
@@ -50,8 +51,8 @@ type CriticalPath struct {
 }
 
 // AnalyzeSpan rebuilds rec's hop tree and extracts the critical path.
-// Hops arrive in wire-harvest order, not start order; structure is
-// recovered from the timestamps.
+// Hops arrive in recording order (a hop is recorded when it ends), not
+// start order; structure is recovered from the timestamps.
 func AnalyzeSpan(rec telemetry.SpanRecord) CriticalPath {
 	cp := CriticalPath{Op: rec.Op, Target: rec.Target, Total: rec.Duration(), Dominant: -1}
 	if rec.NHops == 0 {
@@ -69,21 +70,21 @@ func AnalyzeSpan(rec telemetry.SpanRecord) CriticalPath {
 		}
 	}
 
-	// Classify serve hops against the replicate window: serves starting
-	// inside it are the per-replica children; the one ending last is the
-	// straggler that bounded the fan-out.
+	// Classify hops against the replicate window: every hop starting in
+	// [Start, End) belongs to a replica leg and is a child. The window is
+	// half-open because the client's msgr:resp starts exactly at its
+	// end. The child serve ending last is the straggler that bounded the
+	// fan-out.
 	straggler := -1
 	if repl >= 0 {
 		w := steps[repl]
 		for i := range steps {
-			if steps[i].Phase != PhaseServe || i == repl {
+			if i == repl || steps[i].Start < w.Start || steps[i].Start >= w.End {
 				continue
 			}
-			if steps[i].Start >= w.Start && steps[i].Start <= w.End {
-				steps[i].Child = true
-				if straggler < 0 || steps[i].End > steps[straggler].End {
-					straggler = i
-				}
+			steps[i].Child = true
+			if steps[i].Phase == PhaseServe && (straggler < 0 || steps[i].End > steps[straggler].End) {
+				straggler = i
 			}
 		}
 		if straggler >= 0 {
@@ -92,9 +93,9 @@ func AnalyzeSpan(rec telemetry.SpanRecord) CriticalPath {
 		}
 	}
 
-	// Dominant phase: largest total hop time per phase. Replica serves
-	// are excluded — their time is already covered by the replicate
-	// window they nest in.
+	// Dominant phase: largest total hop time per phase. Children are
+	// excluded — their time is already covered by the replicate window
+	// they nest in.
 	var perPhase [NumPhases]vtime.Duration
 	for _, st := range steps {
 		if st.Phase < 0 || st.Child {

@@ -115,10 +115,9 @@ func TestEndToEndObservability(t *testing.T) {
 
 	// (b) At least one complete replicated-write span: transport hops from
 	// the client's messenger, the primary's serve, every replica's serve
-	// (wire-propagated trace context — the hops crossed the reply), and
-	// the primary's replication fan-out. Replicas=3 on the 3-OSD test
-	// cluster, so a full timeline carries three distinct per-OSD serve
-	// hops.
+	// (replica forwards keep the op's span), and the primary's
+	// replication fan-out. Replicas=3 on the 3-OSD test cluster, so a
+	// full timeline carries three distinct per-OSD serve hops.
 	complete := false
 	for _, rec := range telemetry.Ops.Recent() {
 		got := map[string]bool{}

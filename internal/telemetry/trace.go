@@ -4,16 +4,15 @@ package telemetry
 // started at the client (rados.Client.Operate), rides the typed request
 // through the msgr dispatch, the OSD serve path and primary-copy
 // replication, and records one (name, vtime start, vtime end) hop per
-// layer. Every op claims a span slot from a fixed pool (zero-alloc),
-// but only every Nth op is *sampled* — given a wire trace id and
-// recorded into the recent-trace ring. Unsampled spans exist for tail
-// capture: any span whose duration crosses the slow threshold is
-// promoted into the slow-op log regardless of sampling, so slow ops can
-// never fall between sampling strides; OSDs promote their own hops onto
-// untraced replies by the same threshold (rados osd.go), giving
-// promoted spans a full phase breakdown. All Span methods are nil-safe:
-// when the pool is exhausted an op carries a nil span and every
-// recording call is a no-op, which keeps the instrumentation
+// layer. The span never crosses the wire, so tracing cannot change
+// virtual time. Every op claims a span slot from a fixed pool
+// (zero-alloc) and records every hop, but only every Nth op is
+// *sampled* into the recent-trace ring. Unsampled spans exist for tail
+// capture: any span whose duration crosses the slow threshold is filed
+// in the slow-op log regardless of sampling, with its full breakdown,
+// so slow ops can never fall between sampling strides. All Span methods
+// are nil-safe: when the pool is exhausted an op carries a nil span and
+// every recording call is a no-op, which keeps the instrumentation
 // branch-free at the call sites.
 
 import (
@@ -27,9 +26,9 @@ import (
 )
 
 const (
-	// MaxHops bounds the per-span hop list (client, msgr both ways, OSD
-	// serve, per-replica serve hops merged off the wire, replicate —
-	// with headroom for deeper stacks).
+	// MaxHops bounds the per-span hop list. A 3-replica write records
+	// 10: the client's msgr:req and msgr:resp, the primary's serve and
+	// replicate, and msgr:req, serve and msgr:resp per replica.
 	MaxHops = 12
 	// spanSlots is the live-span pool size; claims beyond it drop the
 	// span rather than allocate or block.
@@ -46,20 +45,14 @@ type Hop struct {
 }
 
 // SpanRecord is the finished form of a span, value-copied into the
-// rings so the slot can be reused immediately. TraceID is the span's
-// wire identity: it rides the rados request header so remote serve
-// hops (replica OSDs, byte-codec peers) can report their timings back
-// and stitch into this one timeline. IDs are minted from the tracer's
-// deterministic tick — never from host entropy — so replays assign the
-// same ids.
+// rings so the slot can be reused immediately.
 type SpanRecord struct {
-	TraceID uint64
 	Op      string
 	Target  string
 	Bytes   int64
 	Start   vtime.Time
 	End     vtime.Time
-	Sampled bool // chosen by the every-Nth stream (TraceID != 0)
+	Sampled bool // chosen by the every-Nth stream
 	NHops   int
 	Hops    [MaxHops]Hop
 }
@@ -79,9 +72,10 @@ func (r SpanRecord) String() string {
 }
 
 // Span is a live trace. Exactly one goroutine touches a span at a time
-// — the in-process call chain is synchronous, and the replication
-// fan-out clears the forwarded request's span — so its fields need no
-// atomics; the slot's busy flag alone hands ownership across claims.
+// — the in-process call chain is synchronous, and vtime.Join runs the
+// replication fan-out's legs on the caller's goroutine — so its fields
+// need no atomics; the slot's busy flag alone hands ownership across
+// claims.
 type Span struct {
 	busy atomic.Bool
 	tr   *Tracer
@@ -141,9 +135,7 @@ func (t *Tracer) SetSampleEvery(n int64) {
 // spans are retained in the slow-op log.
 func (t *Tracer) SetSlowThreshold(d vtime.Duration) { t.slowThresh.Store(int64(d)) }
 
-// SlowThreshold returns the current slow-op threshold. OSDs consult it
-// to self-promote their hops onto replies for over-threshold serves
-// even when the request carries no trace id (tail capture).
+// SlowThreshold returns the current slow-op threshold.
 func (t *Tracer) SlowThreshold() vtime.Duration {
 	if t == nil {
 		return 0
@@ -152,10 +144,10 @@ func (t *Tracer) SlowThreshold() vtime.Duration {
 }
 
 // Start begins a span for one op. Every op claims a slot (tail capture
-// needs the timing even off-stride); only sampled ops get a wire trace
-// id, so unsampled requests stay byte-identical on the wire. Returns
-// nil only when the pool is exhausted. The strings should be static or
-// already-retained — they are stored by reference, never copied.
+// needs the timing even off-stride); sampling only decides whether the
+// finished span also enters the recent ring. Returns nil only when the
+// pool is exhausted. The strings should be static or already-retained —
+// they are stored by reference, never copied.
 func (t *Tracer) Start(op, target string, bytes int64, at vtime.Time) *Span {
 	if t == nil {
 		return nil
@@ -163,31 +155,18 @@ func (t *Tracer) Start(op, target string, bytes int64, at vtime.Time) *Span {
 	n := t.tick.Add(1)
 	every := t.every.Load()
 	sampled := every <= 1 || n%every == 0
-	var id uint64
-	if sampled {
-		id = uint64(n)
-	}
 	// Claim a slot with a short bounded probe; contention beyond it
 	// means plenty of traces are already in flight — drop this one.
 	for i := int64(0); i < 8; i++ {
 		s := &t.slots[uint64(n+i)%spanSlots]
 		if s.busy.CompareAndSwap(false, true) {
-			s.rec = SpanRecord{TraceID: id, Op: op, Target: target, Bytes: bytes, Start: at, Sampled: sampled}
+			s.rec = SpanRecord{Op: op, Target: target, Bytes: bytes, Start: at, Sampled: sampled}
 			t.started.Inc()
 			return s
 		}
 	}
 	t.dropped.Inc()
 	return nil
-}
-
-// TraceID returns the span's wire identity, or 0 for a nil (unsampled)
-// span — the wire encodes 0 as "untraced".
-func (s *Span) TraceID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.rec.TraceID
 }
 
 // Sampled reports whether the span was chosen by the every-Nth stream
@@ -208,7 +187,7 @@ func (s *Span) Hop(name string, start, end vtime.Time) {
 
 // Finish completes the span at virtual time end. Sampled spans are
 // copied into the recent ring; any span at/above the slow threshold —
-// sampled or not — is promoted into the slow log (tail capture).
+// sampled or not — is filed into the slow log (tail capture).
 // Unsampled, fast spans take neither ring and skip the mutex entirely,
 // so the per-op cost of always claiming stays a CAS pair. Nil-safe.
 func (s *Span) Finish(end vtime.Time) {

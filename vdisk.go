@@ -319,12 +319,12 @@ func Attribution() AttributionReport { return attr.Table() }
 func SlowOps() []SlowOp { return attr.SlowOps() }
 
 // SetTraceSampleEvery sets the tracer's sampling stride: one in every n
-// ops gets a full wire-propagated trace (n <= 1 traces everything).
+// ops' traces is kept in the recent ring (n <= 1 keeps every one).
 // Slow-op capture is unaffected — over-threshold ops are always kept.
 func SetTraceSampleEvery(n int64) { telemetry.Ops.SetSampleEvery(n) }
 
 // SetSlowOpThreshold sets the virtual duration at or past which an op
-// is promoted into the slow ring with its phase breakdown.
+// is filed into the slow ring with its phase breakdown.
 func SetSlowOpThreshold(d Duration) { telemetry.Ops.SetSlowThreshold(d) }
 
 // Events returns the structured lifecycle events journalled so far,
