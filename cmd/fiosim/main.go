@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -159,6 +160,9 @@ func main() {
 		fmt.Printf("chaos mode: fault plan armed with seed %d\n", *chaosSeed)
 	}
 
+	// A failure's reproducer is the invocation itself, so it reruns
+	// the same image, span and offsets whatever flags were given.
+	reproducer := "fiosim " + strings.Join(os.Args[1:], " ")
 	wallStart := time.Now()
 	res, err := fio.Run(fio.Spec{
 		Pattern:    pattern,
@@ -170,8 +174,7 @@ func main() {
 	res.WallTime = time.Since(wallStart)
 	if err != nil {
 		if *chaosSeed != 0 {
-			log.Fatalf("workload aborted under faults: %v\nreproduce with: fiosim -rw %s -bs %d -qd %d -ops %d -scheme %s -layout %s -chaos-seed %d",
-				err, *rw, *bsKB, *qd, *ops, *schemeName, *layoutName, *chaosSeed)
+			log.Fatalf("workload aborted under faults: %v\nreproduce with: %s", err, reproducer)
 		}
 		log.Fatal(err)
 	}
@@ -180,8 +183,8 @@ func main() {
 		s := verifier.Stats()
 		fmt.Printf("chaos verification: %v\n", s)
 		if s.GarbageBlocks != 0 {
-			log.Fatalf("SILENT GARBAGE: %d blocks read back wrong data without an error\nreproduce with: fiosim -rw %s -bs %d -qd %d -ops %d -scheme %s -layout %s -chaos-seed %d",
-				s.GarbageBlocks, *rw, *bsKB, *qd, *ops, *schemeName, *layoutName, *chaosSeed)
+			log.Fatalf("SILENT GARBAGE: %d blocks read back wrong data without an error\nreproduce with: %s",
+				s.GarbageBlocks, reproducer)
 		}
 	}
 	fmt.Println(res)

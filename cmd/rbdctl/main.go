@@ -1,46 +1,34 @@
-// Command rbdctl exercises the image and encryption API on an ephemeral
-// in-process cluster — a demonstration shell for the library in the
-// spirit of the rbd(8) tool.
+// Command rbdctl drives the background walkers and the health plane on
+// an ephemeral in-process cluster, in the spirit of the rbd(8) tool.
+// The image, snapshot, clone, rekey and discard flows live in
+// examples/ (quickstart, goldenimage, rekey), and per-op metrics and
+// traces in fiosim -metrics -traces; rbdctl runs only what nothing
+// else does.
 //
 // Usage:
 //
-//	rbdctl -scheme xts-rand -layout object-end demo
-//	rbdctl -scheme xts-rand -layout object-end rekey
-//	rbdctl -scheme luks2 -layout none discard
-//	rbdctl -scheme xts-rand -layout object-end clone
-//	rbdctl -scheme xts-rand -layout object-end flatten
 //	rbdctl -scheme gcm-auth -layout object-end scrub
 //	rbdctl top
 //	rbdctl health
 //	rbdctl slow
 //	rbdctl events
 //
-// demo creates an encrypted image, writes data, snapshots, overwrites,
-// reads both versions back and prints storage-level counters. rekey
-// rotates the image's key epoch online — under a live fio workload —
-// then destroys the retired key. discard crypto-erases a block range
-// and shows the holes plus the zeroed storage-level view. clone runs the
-// golden-image flow: two tenants cloned from one encrypted base
-// snapshot, each under its own key, with crypto-erase isolation between
-// them. flatten copies a clone's inherited blocks up under the child's
-// key (paced, resumable) until the base can be deleted. scrub plants
-// single-copy ciphertext rot, then drives a paced background integrity
-// sweep that detects it and repairs it from the intact replicas (with
-// gcm-auth; the length-preserving schemes cannot see rot — the paper's
-// integrity argument). top runs a workload and renders a live per-OSD
-// dashboard from the history ring (request/device rates, serve p99)
-// with the health verdict under it. health drives the cluster red with
-// an armed fault plan and back to green after disarming, printing the
-// SLO verdict table at each phase. slow spikes one OSD's devices under
-// a replicated write workload, then prints the always-on per-phase
-// latency attribution table and every captured slow op's critical path
-// — naming the straggler OSD and the dominant phase. events runs a
-// small lifecycle (rekey, chaos burst, scrub) and dumps the structured
-// event journal.
+// scrub plants single-copy ciphertext rot, then drives a paced
+// background integrity sweep that detects it and repairs it from the
+// intact replicas (with gcm-auth; the length-preserving schemes cannot
+// see rot — the paper's integrity argument). top runs a workload and
+// renders a live per-OSD dashboard from the history ring
+// (request/device rates, serve p99) with the health verdict under it.
+// health drives the cluster red with an armed fault plan and back to
+// green after disarming, printing the SLO verdict table at each phase.
+// slow spikes one OSD's devices under a replicated write workload, then
+// prints the always-on per-phase latency attribution table and every
+// captured slow op's critical path — naming the straggler OSD and the
+// dominant phase. events runs a small lifecycle (rekey, chaos burst,
+// scrub) and dumps the structured event journal.
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -49,7 +37,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro"
@@ -57,7 +44,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fio"
 	"repro/internal/rados"
-	"repro/internal/rbd"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/health"
 	"repro/internal/telemetry/history"
@@ -72,9 +58,9 @@ func main() {
 	flag.Parse()
 	verb := flag.Arg(0)
 	switch verb {
-	case "demo", "rekey", "discard", "clone", "flatten", "status", "scrub", "top", "health", "slow", "events":
+	case "scrub", "top", "health", "slow", "events":
 	default:
-		fmt.Fprintln(os.Stderr, "usage: rbdctl [-scheme S] [-layout L] [-size MB] demo|rekey|discard|clone|flatten|status|scrub|top|health|slow|events")
+		fmt.Fprintln(os.Stderr, "usage: rbdctl [-scheme S] [-layout L] [-size MB] scrub|top|health|slow|events")
 		os.Exit(2)
 	}
 	scheme, err := core.ParseScheme(*schemeName)
@@ -102,18 +88,6 @@ func main() {
 		img.Size()>>20, scheme, layout, img.MetaLen())
 
 	switch verb {
-	case "demo":
-		demo(cluster, img)
-	case "rekey":
-		rekey(img)
-	case "discard":
-		discard(img)
-	case "clone":
-		cloneDemo(client, img, scheme, layout)
-	case "flatten":
-		flattenDemo(client, img)
-	case "status":
-		status(img)
 	case "scrub":
 		scrubDemo(img)
 	case "top":
@@ -418,338 +392,4 @@ func scrubDemo(img *repro.EncryptedImage) {
 		return
 	}
 	fmt.Println("post-scrub read-back: full span reads clean")
-}
-
-// status is the observability surface: it exercises the image under a
-// live paced rekey with a concurrent workload, prints the walker's
-// progress gauges while they move, then dumps image state, per-op
-// latency breakdowns, recent trace spans with their hop timelines, and
-// the full Prometheus-text metrics snapshot.
-func status(img *repro.EncryptedImage) {
-	span := img.Size()
-	if span > 16<<20 {
-		span = 16 << 20
-	}
-	if _, err := fio.Precondition(img, span, 4096, 0); err != nil {
-		log.Fatal(err)
-	}
-
-	r, err := repro.StartRekey(img)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pace := repro.NewPacer(500, 64<<20)
-	r.SetPace(pace)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var res repro.WorkloadResult
-	var fioErr error
-	go func() {
-		defer wg.Done()
-		res, fioErr = repro.RunWorkload(repro.WorkloadSpec{
-			Pattern: fio.RandWrite, BlockSize: 4096, QueueDepth: 8,
-			Span: span, TotalOps: 512,
-		}, img, 0)
-	}()
-
-	// Drive the walker step by step so its progress is observably live.
-	fmt.Println("rekey walker (live progress):")
-	var at repro.Time
-	for i := 0; ; i++ {
-		done, end, err := r.Step(at)
-		if err != nil {
-			log.Fatal(err)
-		}
-		at = end
-		if p := r.Progress(); i%4 == 0 || done {
-			fmt.Printf("  objects %d/%d  at %v  %v\n", p.NextObj, p.Objects, time.Duration(at), pace)
-		}
-		if done {
-			break
-		}
-	}
-	wg.Wait()
-	if fioErr != nil {
-		log.Fatal(fioErr)
-	}
-
-	fmt.Printf("\nimage state:\n")
-	fmt.Printf("  epochs: current=%d live=%v\n", img.CurrentEpoch(), img.Epochs())
-	fmt.Printf("  objects: %d x %d B, block %d B, metadata %d B/block\n",
-		img.ObjectCount(), img.Image().ObjectSize(), img.Options().BlockSize, img.MetaLen())
-
-	fmt.Printf("\nconcurrent workload: %s\n", res)
-	if perOp := res.PerOpString(); perOp != "" {
-		fmt.Println(perOp)
-	}
-
-	fmt.Println("\nrecent op traces (newest first):")
-	recent := repro.RecentTraces()
-	if len(recent) > 8 {
-		recent = recent[:8]
-	}
-	for _, rec := range recent {
-		fmt.Printf("  %s\n", rec.String())
-	}
-	if slow := repro.SlowTraces(); len(slow) > 0 {
-		if len(slow) > 4 {
-			slow = slow[:4]
-		}
-		fmt.Println("slow ops:")
-		for _, rec := range slow {
-			fmt.Printf("  %s\n", rec.String())
-		}
-	}
-
-	fmt.Println("\ntelemetry snapshot:")
-	if _, err := repro.WriteMetrics(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// keychain is the demo credential set: the base image was created by
-// main under "demo-passphrase"; each tenant clone gets its own.
-func keychain() repro.Keychain {
-	return repro.Keychain{
-		"demo":     []byte("demo-passphrase"),
-		"tenant-a": []byte("tenant-a-secret"),
-		"tenant-b": []byte("tenant-b-secret"),
-	}
-}
-
-// seedBase writes a recognizable golden payload and snapshots it.
-func seedBase(img *repro.EncryptedImage) []byte {
-	golden := make([]byte, 1<<20)
-	for i := range golden {
-		golden[i] = byte(i*7) | 1
-	}
-	if _, err := img.WriteAt(0, golden, 0); err != nil {
-		log.Fatal(err)
-	}
-	if _, _, err := img.CreateSnap(0, "golden"); err != nil {
-		log.Fatal(err)
-	}
-	return golden
-}
-
-func cloneDemo(client *repro.Client, img *repro.EncryptedImage, scheme core.Scheme, layout core.Layout) {
-	golden := seedBase(img)
-	keys := keychain()
-	opts := repro.Options{Scheme: scheme, Layout: layout}
-	a, err := repro.CloneEncryptedImage(client, "rbd", "demo", "golden", "tenant-a", keys, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	b, err := repro.CloneEncryptedImage(client, "rbd", "demo", "golden", "tenant-b", keys, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("cloned demo@golden -> tenant-a, tenant-b (each sealed under its own LUKS container)\n")
-
-	// Read-through: tenant-a sees the golden image without owning a byte.
-	buf := make([]byte, 4096)
-	if _, err := a.ReadAt(0, buf, 0); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("tenant-a read-through: buf[1]=0x%02x (golden 0x%02x)\n", buf[1], golden[1])
-
-	// Tenant-a writes its own data — sealed under tenant-a's key only.
-	own := bytes.Repeat([]byte{0x42}, 64<<10)
-	if _, err := a.WriteAt(0, own, 128<<10); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := b.ReadAt(0, buf, 128<<10); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("sibling isolation: tenant-b still reads 0x%02x at tenant-a's write offset\n", buf[1])
-
-	// Crypto-erase tenant-a: mint a new epoch, destroy the old one. Only
-	// tenant-a's own writes die; the base and tenant-b are untouched.
-	if _, _, err := a.Enc().BeginEpoch(0); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := a.Enc().DropEpoch(0, 0); err != nil {
-		log.Fatal(err)
-	}
-	_, err = a.ReadAt(0, buf, 128<<10)
-	fmt.Printf("after tenant-a crypto-erase: own blocks -> %v\n", err)
-	if _, err := a.ReadAt(0, buf, 0); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("                             inherited blocks still read 0x%02x via the parent's key\n", buf[1])
-	if _, err := b.ReadAt(0, buf, 0); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("                             tenant-b fully intact (0x%02x)\n", buf[1])
-}
-
-func flattenDemo(client *repro.Client, img *repro.EncryptedImage) {
-	golden := seedBase(img)
-	keys := keychain()
-	a, err := repro.CloneEncryptedImage(client, "rbd", "demo", "golden", "tenant-a",
-		keys, repro.Options{Scheme: core.SchemeGCM, Layout: core.LayoutObjectEnd})
-	if err != nil {
-		log.Fatal(err)
-	}
-	f, err := repro.StartFlatten(a)
-	if err != nil {
-		log.Fatal(err)
-	}
-	f.SetPace(repro.NewPacer(200, 256<<20)) // cap the walker at 200 ops/s, 256 MB/s
-	if _, err := f.Run(0); err != nil {
-		log.Fatal(err)
-	}
-	p := f.Progress()
-	fmt.Printf("flattened tenant-a: %d objects walked, %d blocks copied up and re-sealed under the child's key\n",
-		p.Objects, p.Copied)
-
-	// The base is no longer needed: delete it and reopen the child with
-	// only its own credential.
-	if _, err := rbd.Remove(0, client, "rbd", "demo"); err != nil {
-		log.Fatal(err)
-	}
-	a2, err := repro.OpenClonedImage(client, "rbd", "tenant-a", repro.Keychain{"tenant-a": keys["tenant-a"]})
-	if err != nil {
-		log.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	if _, err := a2.ReadAt(0, buf, 0); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("base deleted; tenant-a round-trips alone: buf[1]=0x%02x (golden 0x%02x), parent=%v\n",
-		buf[1], golden[1], a2.Parent())
-}
-
-func demo(cluster *repro.Cluster, img *repro.EncryptedImage) {
-	data := make([]byte, 1<<20)
-	for i := range data {
-		data[i] = byte(i*7) | 1
-	}
-	if _, err := img.WriteAt(0, data, 0); err != nil {
-		log.Fatal(err)
-	}
-	id, _, err := img.CreateSnap(0, "checkpoint")
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := range data {
-		data[i] = byte(i*13) | 1
-	}
-	if _, err := img.WriteAt(0, data, 0); err != nil {
-		log.Fatal(err)
-	}
-	head := make([]byte, 4096)
-	if _, err := img.ReadAt(0, head, 0); err != nil {
-		log.Fatal(err)
-	}
-	old := make([]byte, 4096)
-	if _, err := img.ReadAtSnap(0, old, 0, id); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("snapshot %q id=%d: head[1]=0x%02x snap[1]=0x%02x (independent versions)\n",
-		"checkpoint", id, head[1], old[1])
-
-	disk := cluster.DiskStats()
-	kv := cluster.KVStats()
-	blob := cluster.BlobStats()
-	fmt.Printf("cluster counters:\n")
-	fmt.Printf("  devices: %v\n", disk)
-	fmt.Printf("  objectstore: txns=%d alignedWrites=%d deferredWrites=%d rmwReads=%d\n",
-		blob.Txns, blob.AlignedWrites, blob.DeferredWrites, blob.RMWReads)
-	fmt.Printf("  kv: applies=%d entries=%d flushes=%d compactions=%d walBytes=%d\n",
-		kv.Applies, kv.EntriesWritten, kv.Flushes, kv.Compactions, kv.WALBytes)
-}
-
-func rekey(img *repro.EncryptedImage) {
-	// Precondition a span so the walker has real work.
-	span := img.Size()
-	if span > 16<<20 {
-		span = 16 << 20
-	}
-	if _, err := fio.Precondition(img, span, 4096, 0); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("epochs before rotation: current=%d live=%v\n", img.CurrentEpoch(), img.Epochs())
-
-	r, err := repro.StartRekey(img)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Online: an fio workload runs against the image while the walker
-	// sweeps it.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var res repro.WorkloadResult
-	var fioErr error
-	go func() {
-		defer wg.Done()
-		res, fioErr = repro.RunWorkload(repro.WorkloadSpec{
-			Pattern: fio.RandWrite, BlockSize: 4096, QueueDepth: 8,
-			Span: span, TotalOps: 512,
-		}, img, 0)
-	}()
-	if _, err := r.Run(0); err != nil {
-		log.Fatal(err)
-	}
-	wg.Wait()
-	if fioErr != nil {
-		log.Fatal(fioErr)
-	}
-	p := r.Progress()
-	fmt.Printf("rotated epoch %d -> %d: %d objects walked, %d blocks re-sealed, retired key destroyed\n",
-		p.From, p.To, p.Objects, p.Rekeyed)
-	fmt.Printf("concurrent workload during rotation: %s\n", res)
-	fmt.Printf("epochs after rotation: current=%d live=%v\n", img.CurrentEpoch(), img.Epochs())
-}
-
-func discard(img *repro.EncryptedImage) {
-	data := make([]byte, 64<<10)
-	for i := range data {
-		data[i] = byte(i*11) | 1
-	}
-	if _, err := img.WriteAt(0, data, 0); err != nil {
-		log.Fatal(err)
-	}
-	// Crypto-erase the middle 8 blocks.
-	const off, length = 4 * 4096, 8 * 4096
-	if _, err := img.Discard(0, off, length); err != nil {
-		log.Fatal(err)
-	}
-	got := make([]byte, len(data))
-	if _, err := img.ReadAt(0, got, 0); err != nil {
-		log.Fatal(err)
-	}
-	holes := 0
-	for b := 0; b < len(got)/4096; b++ {
-		if bytes.Equal(got[b*4096:(b+1)*4096], make([]byte, 4096)) {
-			holes++
-		}
-	}
-	fmt.Printf("discarded [%d,+%d): %d of %d blocks now read as holes\n", off, length, holes, len(got)/4096)
-
-	// Attacker view: the stored payload of the discarded range is zeros.
-	res, _, err := img.Image().Operate(0, 0, 0, []rados.Op{{Kind: rados.OpStat}})
-	if err != nil || res[0].Status != rados.StatusOK {
-		log.Fatal("stat failed")
-	}
-	raw, _, err := img.Image().Operate(0, 0, 0, []rados.Op{{Kind: rados.OpRead, Off: 0, Len: res[0].Size}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	nonzero := 0
-	for _, b := range raw[0].Data {
-		if b != 0 {
-			nonzero++
-		}
-	}
-	fmt.Printf("storage-level object payload: %d bytes, %d non-zero (ciphertext of retained blocks only)\n",
-		len(raw[0].Data), nonzero)
-
-	if err := func() error {
-		_, err := img.Discard(0, 100, 4096)
-		return err
-	}(); err != nil {
-		fmt.Printf("unaligned discard rejected as expected: %v\n", err)
-	}
 }

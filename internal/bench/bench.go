@@ -21,7 +21,6 @@ import (
 	"repro/internal/fio"
 	"repro/internal/rados"
 	"repro/internal/rbd"
-	"repro/internal/simdisk"
 	"repro/internal/vtime"
 )
 
@@ -250,8 +249,6 @@ func sweepScheme(cfg Config, spec SchemeSpec, reads, writes *Series, progress fu
 			}
 		}
 	}
-	_ = simdisk.Stats{} // keep import for future per-point device stats
-	_ = vtime.Time(0)
 	return nil
 }
 

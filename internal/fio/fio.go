@@ -80,9 +80,6 @@ type Spec struct {
 	TotalOps int
 	// Seed makes offset sequences reproducible.
 	Seed int64
-	// Fill, when set, deterministically patterns write payloads; reads
-	// ignore it. (Zero payloads would defeat encryption-layer checks.)
-	Fill byte
 	// TrimPct makes that percentage of ops discards (fio's trim mix),
 	// at random block-aligned offsets. The target must implement
 	// Discarder.
@@ -269,12 +266,10 @@ func Run(spec Spec, target Target, start vtime.Time) (Result, error) {
 		jobs[j].rng = rand.New(rand.NewSource(spec.Seed + int64(j)*7919))
 		jobs[j].buf = make([]byte, spec.BlockSize)
 		if !spec.Pattern.Reads() {
-			fill := spec.Fill
-			if fill == 0 {
-				fill = byte(j + 1)
-			}
+			// Each job writes its own non-zero pattern: zero payloads
+			// would defeat encryption-layer checks.
 			for i := range jobs[j].buf {
-				jobs[j].buf[i] = fill ^ byte(i*131>>3)
+				jobs[j].buf[i] = byte(j+1) ^ byte(i*131>>3)
 			}
 		}
 		jobs[j].seqNext = int64(j) * (blocks / int64(spec.QueueDepth)) * spec.BlockSize

@@ -50,12 +50,6 @@ type Config struct {
 	MaxLevels int
 	// WALBytes is the log region size.
 	WALBytes int64
-	// CPU, when set, is charged CPUPerEntryWrite per written entry and
-	// CPUPerEntryRead per looked-up entry, modeling DB CPU cost on the
-	// owning OSD.
-	CPU              *vtime.Resource
-	CPUPerEntryWrite time.Duration
-	CPUPerEntryRead  time.Duration
 	// IngestPerEntry models the store's single-threaded write path
 	// (RocksDB's single writer/WAL thread plus amortized compaction
 	// backpressure): each Apply serializes len(batch)*IngestPerEntry on a
@@ -88,12 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.CPUPerEntryWrite <= 0 {
-		c.CPUPerEntryWrite = 1200 * time.Nanosecond
-	}
-	if c.CPUPerEntryRead <= 0 {
-		c.CPUPerEntryRead = 600 * time.Nanosecond
 	}
 	return c
 }
@@ -330,13 +318,6 @@ func (s *Store) writeSuper(c *cursor) error {
 	return nil
 }
 
-func (s *Store) chargeCPU(at vtime.Time, n int, per time.Duration) vtime.Time {
-	if s.cfg.CPU == nil || n == 0 {
-		return at
-	}
-	return s.cfg.CPU.Use(at, time.Duration(n)*per)
-}
-
 // Apply atomically commits a batch. The returned time is the durability
 // point (WAL append complete). Flushes and compactions triggered by the
 // apply are charged to the device model in the background and do not
@@ -356,7 +337,6 @@ func (s *Store) Apply(at vtime.Time, b *Batch) (vtime.Time, error) {
 			return at, fmt.Errorf("%w: entry %d has a %d-byte key and a %d-byte value", ErrEntryTooLarge, i, op.klen, op.vlen)
 		}
 	}
-	at = s.chargeCPU(at, b.Len(), s.cfg.CPUPerEntryWrite)
 
 	payloadLen := b.Bytes() + entryHeaderSize*b.Len()
 	if !s.wal.fits(payloadLen) {
@@ -404,7 +384,6 @@ func (s *Store) Get(at vtime.Time, key []byte) ([]byte, bool, vtime.Time, error)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Gets++
-	at = s.chargeCPU(at, 1, s.cfg.CPUPerEntryRead)
 	if e, ok := s.mem.get(key); ok {
 		if e.kind == kindDelete {
 			return nil, false, at, nil
@@ -484,7 +463,6 @@ func (s *Store) Scan(at vtime.Time, lo, hi []byte, limit int) ([]KV, vtime.Time,
 	}
 	if len(spans) == 0 {
 		putSpans()
-		c.at = s.chargeCPU(c.at, 0, s.cfg.CPUPerEntryRead)
 		return nil, c.at, nil
 	}
 	out := make([]KV, len(spans))
@@ -494,9 +472,7 @@ func (s *Store) Scan(at vtime.Time, lo, hi []byte, limit int) ([]KV, vtime.Time,
 			Value: arena[sp.vo : sp.vo+sp.vl : sp.vo+sp.vl],
 		}
 	}
-	n := len(out)
 	putSpans()
-	c.at = s.chargeCPU(c.at, n, s.cfg.CPUPerEntryRead)
 	return out, c.at, nil
 }
 

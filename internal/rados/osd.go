@@ -110,9 +110,7 @@ func NewOSD(at vtime.Time, id int, cmap *ClusterMap, disks []*simdisk.Disk, blob
 		snapInfo: make(map[string]*snapInfo),
 	}
 	for i, d := range disks {
-		cfg := blobCfg
-		cfg.KV.CPU = nil // KV CPU is folded into the OSD cost model
-		st, end, err := blobstore.Open(at, d, cfg)
+		st, end, err := blobstore.Open(at, d, blobCfg)
 		if err != nil {
 			return nil, at, fmt.Errorf("osd%d disk %d: %w", id, i, err)
 		}
