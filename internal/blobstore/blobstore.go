@@ -159,9 +159,11 @@ type Store struct {
 	stats       Stats
 
 	// Commit scratch of applyLocked, reused under mu: the batch every
-	// transaction is staged in and the buffer its keys are built in.
+	// transaction is staged in, the buffer its keys are built in, and the
+	// one or two sectors applyPartial merges a sub-sector span into.
 	batch  kvstore.Batch
 	keyBuf []byte
+	rmw    [2 * simdisk.SectorSize]byte
 }
 
 // Key namespaces inside the metadata store. Object names must not contain
@@ -357,6 +359,9 @@ func (s *Store) applyLocked(at vtime.Time, obj string, txn *Txn) (vtime.Time, er
 	// Validate and split data writes into aligned and sub-sector spans.
 	// A write yields at most one aligned and two partial spans, so the
 	// usual transaction's spans fit the arrays and never reach the heap.
+	// A partial span is either a whole write with no aligned sector in it
+	// or the head or tail a sector boundary cuts off one, so it covers at
+	// most two sectors: the size of the s.rmw scratch.
 	type alignedSpan struct {
 		sector int64
 		data   []byte
@@ -494,13 +499,15 @@ func (s *Store) applyLocked(at vtime.Time, obj string, txn *Txn) (vtime.Time, er
 // page cache could not keep resident either.
 const cacheAdmitLimit = 1024
 
-// applyPartial merges a sub-sector span into its covering sectors using
-// the sector cache to avoid device reads for hot (e.g. IV) sectors.
+// applyPartial merges a sub-sector span into its covering sectors in
+// s.rmw, using the sector cache to avoid device reads for hot (e.g. IV)
+// sectors. Nothing keeps a view of s.rmw past the return: the disk and
+// the cache copy it.
 func (s *Store) applyPartial(at vtime.Time, diskOff int64, data []byte) (vtime.Time, error) {
 	first := diskOff / simdisk.SectorSize
 	last := (diskOff + int64(len(data)) + simdisk.SectorSize - 1) / simdisk.SectorSize
 	n := last - first
-	buf := make([]byte, n*simdisk.SectorSize)
+	buf := s.rmw[:n*simdisk.SectorSize]
 	readEnd := at
 	for i := int64(0); i < n; i++ {
 		sect := first + i

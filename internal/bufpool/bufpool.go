@@ -13,6 +13,7 @@ package bufpool
 
 import (
 	"sync"
+	"unsafe"
 
 	"repro/internal/telemetry"
 )
@@ -41,6 +42,10 @@ var (
 		"pool-class buffers checked out and not yet returned")
 )
 
+// classes holds each pooled buffer as a pointer to its backing array's
+// first element: a pointer fits in the pool's interface value without a
+// box, so a Put allocates nothing, and Get rebuilds the slice from the
+// class size.
 var classes [numClasses]sync.Pool
 
 // class returns the smallest class whose capacity holds n bytes, or -1
@@ -67,7 +72,7 @@ func Get(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := classes[c].Get(); v != nil {
-		b := (*v.(*[]byte))[:n]
+		b := unsafe.Slice(v.(*byte), 1<<(minShift+c))[:n]
 		checkGet(b)
 		mGetHit.Inc()
 		mOutstanding.Add(1)
@@ -100,5 +105,5 @@ func Put(b []byte) {
 	checkPut(b)
 	mPuts.Inc()
 	mOutstanding.Add(-1)
-	classes[c].Put(&b)
+	classes[c].Put(unsafe.SliceData(b))
 }

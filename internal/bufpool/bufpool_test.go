@@ -1,6 +1,10 @@
 package bufpool
 
-import "testing"
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+)
 
 func TestClassSizes(t *testing.T) {
 	cases := []struct {
@@ -53,5 +57,26 @@ func TestPutForeignBuffer(t *testing.T) {
 	got := Get(5000)
 	if len(got) != 5000 || cap(got) != 8192 {
 		t.Fatalf("foreign buffer leaked into pool: len=%d cap=%d", len(got), cap(got))
+	}
+}
+
+// TestGetPutAllocsZero: the pool holds each buffer as its element
+// pointer, so a warmed Get and Put allocate nothing — not even the box a
+// *[]byte pool entry cost on every Put. One P keeps the round trip on
+// one pool shard.
+func TestGetPutAllocsZero(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if (s.Key == "-race" && s.Value == "true") || (s.Key == "-tags" && s.Value != "") {
+				t.Skipf("instrumented build (%s=%s) allocates differently", s.Key, s.Value)
+			}
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, n := range []int{1, 4096, 5000, 1 << 20} {
+		Put(Get(n))
+		if got := testing.AllocsPerRun(100, func() { Put(Get(n)) }); got != 0 {
+			t.Errorf("Get(%d)+Put: %.0f allocs, want 0", n, got)
+		}
 	}
 }

@@ -333,14 +333,19 @@ func BenchmarkDatapathOpen(b *testing.B) {
 
 // TestHotPathAllocBudget pins the per-op heap allocations of a warmed
 // 4 KiB ReadAt and WriteAt through the whole in-process stack at their
-// measured counts: 22 for the read and 45 for the write (53 until the
-// replica fan-out stopped spawning a goroutine per peer, 128 until the KV
-// commit path stopped allocating per key, per node and per WAL image on
-// each of the three replicas). One stray closure, interface conversion
-// or escaped objFetch per IO fails here, long before it trips
-// BENCHMARK.json's 2 % allocs_per_op bound. A warmed 1 MiB
-// unaligned-layout ReadAt is pinned at 22 (gcm-auth) and 23 (xts-rand:
-// the pooled covering read's Put) allocations and at most 16 KiB a read.
+// measured counts: 12 for the read and 22 for the write (22 and 45 until
+// placement came from a per-map table, bufpool stopped boxing every Put,
+// the store's metadata-sector RMW used a store-owned scratch and the
+// OSD's transaction lists started in arrays; 53 until the replica
+// fan-out stopped spawning a goroutine per peer, 128 until the KV commit
+// path stopped allocating per key, per node and per WAL image on each of
+// the three replicas). One stray closure, interface conversion or escaped
+// objFetch per IO fails here, long before it trips BENCHMARK.json's 2 %
+// allocs_per_op bound. The warmed 4 KiB object-end write is also held to
+// writeBytesCeiling bytes: its three replicas' IV-sector RMWs once made
+// a 4 KiB buffer each. A warmed 1 MiB unaligned-layout ReadAt is pinned
+// at 22 (gcm-auth) and 23 (xts-rand: the pooled covering read's Put)
+// allocations and at most 16 KiB a read.
 func TestHotPathAllocBudget(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -349,7 +354,7 @@ func TestHotPathAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	const readBudget, writeBudget = 22, 45
+	const readBudget, writeBudget = 12, 22
 	e := newEncrypted(t, SchemeXTSRand, LayoutObjectEnd)
 	e.SetParallelism(1)
 	buf := make([]byte, 4096)
@@ -388,6 +393,26 @@ func TestHotPathAllocBudget(t *testing.T) {
 	// one. One P over the warm-up and both windows keeps the scheduler
 	// out of the measurement.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	const writeBytesCeiling = 3 << 10
+	{
+		const runs = 200
+		write := io(true)
+		runtime.GC()
+		for i := 0; i < 8; i++ {
+			write()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			write()
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > writeBytesCeiling {
+			t.Errorf("4 KiB WriteAt xts-rand/object-end: %d B/op, ceiling %d", got, writeBytesCeiling)
+		}
+	}
+
 	for _, tc := range []struct {
 		scheme Scheme
 		budget float64

@@ -2,6 +2,7 @@ package rados
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bufpool"
 	"repro/internal/msgr"
@@ -49,9 +50,10 @@ func (c *Client) OperateOn(at vtime.Time, osd int, pool, object string, snapc Sn
 }
 
 // ReplicasFor returns the OSDs holding an object's replicas, primary
-// first — the iteration domain for OperateOn-based repair.
+// first — the iteration domain for OperateOn-based repair. The slice is
+// the caller's copy; changing it does not move placement.
 func (c *Client) ReplicasFor(pool, object string) []int {
-	return c.cmap.OSDsFor(c.cmap.PG(pool, object))
+	return slices.Clone(c.cmap.OSDsFor(c.cmap.PG(pool, object)))
 }
 
 func (c *Client) operate(at vtime.Time, osd int, pool, object string, snapc SnapContext, snapID uint64, ops []Op, direct bool) ([]Result, vtime.Time, error) {

@@ -15,11 +15,27 @@ import (
 
 // ClusterMap is the authoritative placement state (the monitor's OSDMap in
 // Ceph terms). It is immutable after cluster creation — the paper's
-// evaluation does not involve failures or rebalancing.
+// evaluation does not involve failures or rebalancing — so every PG's
+// replica set is computed once, into a table, when the map is built.
 type ClusterMap struct {
 	PGNum    int
 	Replicas int
 	OSDIDs   []int
+
+	sets [][]int // per-PG replica set, primary first; read-only
+}
+
+// newClusterMap builds the map of osds OSDs (ids 0..osds-1) and its
+// placement table.
+func newClusterMap(pgNum, replicas, osds int) *ClusterMap {
+	m := &ClusterMap{PGNum: pgNum, Replicas: replicas, OSDIDs: make([]int, osds), sets: make([][]int, pgNum)}
+	for i := range m.OSDIDs {
+		m.OSDIDs[i] = i
+	}
+	for pg := range m.sets {
+		m.sets[pg] = crush.OSDsForPG(pg, m.OSDIDs, replicas)
+	}
+	return m
 }
 
 // PG maps an object to its placement group.
@@ -27,9 +43,10 @@ func (m *ClusterMap) PG(pool, object string) int {
 	return crush.PGForObject(pool, object, m.PGNum)
 }
 
-// OSDsFor returns the replica set (primary first) for a PG.
+// OSDsFor returns the replica set (primary first) for a PG. The slice is
+// the placement table's own row: callers must not modify it.
 func (m *ClusterMap) OSDsFor(pg int) []int {
-	return crush.OSDsForPG(pg, m.OSDIDs, m.Replicas)
+	return m.sets[pg]
 }
 
 // PrimaryFor returns the primary OSD for an object.
@@ -124,10 +141,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.PGNum < 1 {
 		return nil, fmt.Errorf("rados: PGNum must be positive")
 	}
-	cmap := &ClusterMap{PGNum: cfg.PGNum, Replicas: cfg.Replicas}
-	for i := 0; i < cfg.OSDs; i++ {
-		cmap.OSDIDs = append(cmap.OSDIDs, i)
-	}
+	cmap := newClusterMap(cfg.PGNum, cfg.Replicas, cfg.OSDs)
 	c := &Cluster{cfg: cfg, cmap: cmap}
 
 	kvSectors := cfg.Blob.KVBytes / simdisk.SectorSize

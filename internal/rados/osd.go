@@ -271,7 +271,9 @@ func (o *OSD) serve(at vtime.Time, req *Request) (*Reply, vtime.Time, error) {
 func (o *OSD) replicate(at vtime.Time, req *Request, end vtime.Time) (vtime.Time, bool, error) {
 	pg := o.cmap.PG(req.Pool, req.Object)
 	replicas := o.cmap.OSDsFor(pg)
-	conns := make([]msgr.Conn, 0, len(replicas)-1)
+	// The peers of the usual replica set fit the array, off the heap.
+	var connArr [4]msgr.Conn
+	conns := connArr[:0]
 	for _, rid := range replicas {
 		if rid == o.id {
 			continue
@@ -302,6 +304,15 @@ func (o *OSD) replicate(at vtime.Time, req *Request, end vtime.Time) (vtime.Time
 		return at, true, fmt.Errorf("osd%d: replica: %w", o.id, err)
 	}
 	return vtime.Max(end, acked), true, nil
+}
+
+// listOf returns arr when it holds n elements, else a heap list of
+// capacity n.
+func listOf[T any](arr []T, n int) []T {
+	if n <= cap(arr) {
+		return arr
+	}
+	return make([]T, 0, n)
 }
 
 func cloneName(fullName string, snapID uint64) string {
@@ -389,11 +400,19 @@ func (o *OSD) executeWrite(at vtime.Time, st *blobstore.Store, fullName string, 
 			nAttrs++
 		}
 	}
-	txn := blobstore.NewTxn()
-	txn.Writes = make([]blobstore.DataWrite, 0, nWrites)
-	txn.OmapSet = make([]blobstore.KVPair, 0, nOmapSet)
-	txn.OmapDel = make([][]byte, 0, nOmapDel)
-	txn.AttrSet = make([]blobstore.KVPair, 0, nAttrs+1) // + the snapset
+	// The usual op vector's lists fit the arrays and stay off the heap;
+	// the store copies what it keeps before Apply returns.
+	var (
+		writeArr [2]blobstore.DataWrite
+		omapArr  [16]blobstore.KVPair
+		delArr   [4][]byte
+		attrArr  [2]blobstore.KVPair
+	)
+	txn := blobstore.Txn{Truncate: -1}
+	txn.Writes = listOf(writeArr[:0], nWrites)
+	txn.OmapSet = listOf(omapArr[:0], nOmapSet)
+	txn.OmapDel = listOf(delArr[:0], nOmapDel)
+	txn.AttrSet = listOf(attrArr[:0], nAttrs+1) // + the snapset
 	results := make([]Result, len(req.Ops))
 	doDelete := false
 	for i, op := range req.Ops {
@@ -453,7 +472,7 @@ func (o *OSD) executeWrite(at vtime.Time, st *blobstore.Store, fullName string, 
 	// Persist the snapset alongside the data — same transaction, so
 	// data, metadata and IVs commit atomically.
 	txn.AttrSet = append(txn.AttrSet, blobstore.KVPair{Key: snapAttrKey, Value: si.marshal()})
-	end, err := st.Apply(at, fullName, txn)
+	end, err := st.Apply(at, fullName, &txn)
 	if err != nil {
 		if errors.Is(err, blobstore.ErrNoSpace) {
 			for i := range results {
