@@ -1,7 +1,5 @@
 package kvstore
 
-import "hash/fnv"
-
 // bloomFilter is a classic k-hash Bloom filter built with double hashing
 // over FNV-64a, in the style RocksDB uses for its full filters.
 type bloomFilter struct {
@@ -28,16 +26,24 @@ func newBloom(n int, bitsPerKey int) *bloomFilter {
 	return &bloomFilter{bits: make([]byte, (nbits+7)/8), k: k}
 }
 
+// FNV-64a's parameters (hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// bloomHash returns FNV-64a of key and, as the second hash, FNV-64a of
+// key behind a salt byte (cheap and independent enough for a filter),
+// forced odd. Both are computed in one pass over the key; the filters on
+// media depend on these exact values.
 func bloomHash(key []byte) (uint64, uint64) {
-	h := fnv.New64a()
-	h.Write(key)
-	h1 := h.Sum64()
-	// Second hash: FNV over the key with a salt byte, cheap and independent
-	// enough for a filter.
-	h2 := fnv.New64a()
-	h2.Write([]byte{0x9e})
-	h2.Write(key)
-	return h1, h2.Sum64() | 1
+	h1, h2 := uint64(fnvOffset64), uint64(fnvOffset64)
+	h2 = (h2 ^ 0x9e) * fnvPrime64
+	for _, c := range key {
+		h1 = (h1 ^ uint64(c)) * fnvPrime64
+		h2 = (h2 ^ uint64(c)) * fnvPrime64
+	}
+	return h1, h2 | 1
 }
 
 func (f *bloomFilter) add(key []byte) {

@@ -437,14 +437,39 @@ func (it *tableIter) next() error {
 	return it.load()
 }
 
+// mergeSource is one input of a merge with its current entry cached, so
+// that settling compares keys without calling through the interface.
+type mergeSource struct {
+	it iterator
+	e  memEntry
+	ok bool // it is valid and e is its entry
+}
+
+func (s *mergeSource) load() {
+	if s.ok = s.it.valid(); s.ok {
+		s.e = s.it.entry()
+	}
+}
+
+func (s *mergeSource) next() error {
+	if err := s.it.next(); err != nil {
+		return err
+	}
+	s.load()
+	return nil
+}
+
 // mergeIter merges several sources. Sources are listed strongest-first:
 // on equal keys the earliest source wins and the duplicates are skipped.
 type mergeIter struct {
-	sources []iterator
+	sources []mergeSource
 	cur     int // index of source holding the current entry, -1 when done
 }
 
-func newMergeIter(sources []iterator) (*mergeIter, error) {
+func newMergeIter(sources []mergeSource) (*mergeIter, error) {
+	for i := range sources {
+		sources[i].load()
+	}
 	m := &mergeIter{sources: sources}
 	if err := m.settle(); err != nil {
 		return nil, err
@@ -457,13 +482,9 @@ func newMergeIter(sources []iterator) (*mergeIter, error) {
 func (m *mergeIter) settle() error {
 	m.cur = -1
 	var best []byte
-	for i, s := range m.sources {
-		if !s.valid() {
-			continue
-		}
-		k := s.entry().key
-		if m.cur == -1 || bytes.Compare(k, best) < 0 {
-			m.cur, best = i, k
+	for i := range m.sources {
+		if s := &m.sources[i]; s.ok && (m.cur == -1 || bytes.Compare(s.e.key, best) < 0) {
+			m.cur, best = i, s.e.key
 		}
 	}
 	if m.cur == -1 {
@@ -471,8 +492,8 @@ func (m *mergeIter) settle() error {
 	}
 	// Advance weaker sources sitting on the same key.
 	for i := m.cur + 1; i < len(m.sources); i++ {
-		s := m.sources[i]
-		for s.valid() && bytes.Equal(s.entry().key, best) {
+		s := &m.sources[i]
+		for s.ok && bytes.Equal(s.e.key, best) {
 			if err := s.next(); err != nil {
 				return err
 			}
@@ -483,7 +504,7 @@ func (m *mergeIter) settle() error {
 
 func (m *mergeIter) valid() bool { return m.cur >= 0 }
 
-func (m *mergeIter) entry() memEntry { return m.sources[m.cur].entry() }
+func (m *mergeIter) entry() memEntry { return m.sources[m.cur].e }
 
 func (m *mergeIter) next() error {
 	if m.cur < 0 {

@@ -120,6 +120,7 @@ type Store struct {
 	wal      *wal
 	writer   *vtime.Resource // single-threaded ingest path
 	payload  []byte          // Apply's encoded batch, reused under mu
+	entries  []memEntry      // what a flush or merge hands writeTable, reused under mu
 	stats    Stats
 }
 
@@ -204,7 +205,7 @@ func Open(at vtime.Time, file File, cfg Config) (*Store, vtime.Time, error) {
 	s := &Store{
 		file:    file,
 		cfg:     cfg,
-		mem:     newMemtable(cfg.Seed),
+		mem:     newMemtable(cfg.Seed, cfg.MemtableBytes),
 		levels:  make([][]*table, cfg.MaxLevels),
 		segBase: superSector + cfg.WALBytes,
 	}
@@ -495,14 +496,14 @@ func (s *Store) DeleteRange(at vtime.Time, lo, hi []byte) (int, vtime.Time, erro
 }
 
 func (s *Store) mergeIterLocked(c *cursor, start []byte) (*mergeIter, error) {
-	sources := []iterator{memIterAdapter{s.mem.iter(start)}}
+	sources := []mergeSource{{it: memIterAdapter{s.mem.iter(start)}}}
 	for _, tables := range s.levels {
 		for _, t := range tables {
 			ti, err := newTableIter(c, t, start)
 			if err != nil {
 				return nil, err
 			}
-			sources = append(sources, ti)
+			sources = append(sources, mergeSource{it: ti})
 		}
 	}
 	return newMergeIter(sources)
@@ -521,10 +522,11 @@ func (s *Store) Flush(at vtime.Time) (vtime.Time, error) {
 
 func (s *Store) flushLocked(c *cursor) error {
 	if s.mem.count > 0 {
-		entries := make([]memEntry, 0, s.mem.count)
+		entries := s.entries[:0]
 		for it := s.mem.iter(nil); it.valid(); it.next() {
 			entries = append(entries, it.entry())
 		}
+		s.entries = entries
 		t, err := s.writeTable(c, entries)
 		if err != nil {
 			return err
@@ -538,7 +540,8 @@ func (s *Store) flushLocked(c *cursor) error {
 	if err := s.writeSuper(c); err != nil {
 		return err
 	}
-	s.mem = newMemtable(s.cfg.Seed + int64(s.walEpoch))
+	// The table holds copies of everything the memtable held.
+	s.mem.reset(s.cfg.Seed + int64(s.walEpoch))
 	return s.compactLocked(c)
 }
 
@@ -609,23 +612,23 @@ func (s *Store) compactLocked(c *cursor) error {
 // mergeTables merges tables (strongest first) into one new table.
 // A nil result means everything merged away (all tombstones dropped).
 func (s *Store) mergeTables(c *cursor, tables []*table, dropTombstones bool) (*table, error) {
-	sources := make([]iterator, 0, len(tables))
-	var total int64
+	sources := make([]mergeSource, 0, len(tables))
 	for _, t := range tables {
 		ti, err := newTableIter(c, t, nil)
 		if err != nil {
 			return nil, err
 		}
-		sources = append(sources, ti)
-		total += t.numEntries
+		sources = append(sources, mergeSource{it: ti})
 	}
 	it, err := newMergeIter(sources)
 	if err != nil {
 		return nil, err
 	}
 	// The entries are views of the blocks the iterators decoded, which
-	// stay reachable through them until writeTable has copied them out.
-	entries := make([]memEntry, 0, total)
+	// stay reachable through them until writeTable has copied them out;
+	// clearing the views afterwards lets those blocks go.
+	entries := s.entries[:0]
+	defer func() { clear(entries); s.entries = entries[:0] }()
 	for it.valid() {
 		e := it.entry()
 		if !(dropTombstones && e.kind == kindDelete) {

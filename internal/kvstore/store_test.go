@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -521,8 +522,32 @@ func TestBloomFilter(t *testing.T) {
 	}
 }
 
+// TestBloomHashMatchesFNV holds the one-pass hash to the two hash/fnv
+// passes it replaced, bit for bit: the filters already on media were
+// built from them.
+func TestBloomHashMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		key := make([]byte, rng.Intn(80))
+		rng.Read(key)
+		if i == 0 {
+			key = nil
+		}
+		h := fnv.New64a()
+		h.Write(key)
+		want1 := h.Sum64()
+		h = fnv.New64a()
+		h.Write([]byte{0x9e})
+		h.Write(key)
+		want2 := h.Sum64() | 1
+		if got1, got2 := bloomHash(key); got1 != want1 || got2 != want2 {
+			t.Fatalf("key %x: bloomHash = %#x, %#x, want %#x, %#x", key, got1, got2, want1, want2)
+		}
+	}
+}
+
 func TestMemtableOrdering(t *testing.T) {
-	m := newMemtable(1)
+	m := newMemtable(1, 0)
 	keys := []string{"delta", "alpha", "charlie", "bravo", "echo"}
 	for i, k := range keys {
 		m.set(memEntry{key: []byte(k), value: []byte{byte(i)}, kind: kindPut})
