@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/crypto/blockmask"
 	"repro/internal/crypto/eme"
 	"repro/internal/crypto/essiv"
 	"repro/internal/crypto/xts"
@@ -320,9 +321,8 @@ func BenchmarkCipherModes(b *testing.B) {
 		pt[i] = byte(i)
 	}
 
-	// The floor: the bare single-block AES-256 loop the xts and eme
-	// kernels run between their XOR passes. Pure Go cannot go below it
-	// without a multi-block AES primitive.
+	// The bare single-block AES-256 loop: the floor of the primitive's
+	// generic path, which every GOARCH but amd64 with AES-NI takes.
 	b.Run("aes256-blockloop-4K", func(b *testing.B) {
 		blk, err := aes.NewCipher(key64[:32])
 		if err != nil {
@@ -333,6 +333,18 @@ func BenchmarkCipherModes(b *testing.B) {
 			for off := 0; off < len(ct); off += aes.BlockSize {
 				blk.Encrypt(ct[off:off+aes.BlockSize], pt[off:off+aes.BlockSize])
 			}
+		}
+	})
+	// The multi-block AES the xts and eme kernels run between their XOR
+	// passes: eight blocks per pass on AES-NI.
+	b.Run("aes256-ecb-4K", func(b *testing.B) {
+		ecb, err := blockmask.NewAES(key64[:32])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(4096)
+		for i := 0; i < b.N; i++ {
+			ecb.Encrypt(ct, pt)
 		}
 	})
 	xtsCipher, err := xts.NewCipher(key64)

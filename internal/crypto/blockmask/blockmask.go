@@ -1,11 +1,10 @@
 // Package blockmask holds the primitives the sector-batched cipher
 // kernels of xts and eme share: doubling in GF(2^128), tables of
 // successive doublings laid out block after block so that a whole data
-// unit is masked by one subtle.XORBytes pass, the in-place ECB loop that
-// runs between two such passes, and the aliasing rule both packages
-// enforce before they start. Masking with a table instead of block by
-// block is what lets everything around the single-block AES calls run
-// word-wide or vectorised (DESIGN.md, "Cipher kernels").
+// unit is masked by one subtle.XORBytes pass, the AES that encrypts or
+// decrypts a whole buffer of blocks between two such passes (eight
+// blocks per pass with AES-NI), and the aliasing rule both packages
+// enforce before they start (DESIGN.md, "Cipher kernels").
 package blockmask
 
 import (
@@ -44,15 +43,6 @@ func Fill(table []byte, v *[BlockSize]byte) {
 	}
 	binary.LittleEndian.PutUint64(v[:8], lo)
 	binary.LittleEndian.PutUint64(v[8:], hi)
-}
-
-// ECB applies the single-block function crypt (a cipher.Block's Encrypt
-// or Decrypt) to every block of buf in place.
-func ECB(buf []byte, crypt func(dst, src []byte)) {
-	for i := 0; i+BlockSize <= len(buf); i += BlockSize {
-		b := buf[i : i+BlockSize : i+BlockSize]
-		crypt(b, b)
-	}
 }
 
 // InexactOverlap reports whether dst and src share memory without

@@ -2,7 +2,6 @@ package blockmask
 
 import (
 	"bytes"
-	"crypto/aes"
 	"crypto/rand"
 	"testing"
 )
@@ -88,30 +87,6 @@ func TestFillChain(t *testing.T) {
 	Fill(nil, &cur)
 	if cur != start {
 		t.Fatal("empty table must not advance v")
-	}
-}
-
-func TestECB(t *testing.T) {
-	b, err := aes.NewCipher(make([]byte, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt := make([]byte, 5*BlockSize)
-	for i := range pt {
-		pt[i] = byte(i)
-	}
-	want := make([]byte, len(pt))
-	for i := 0; i < len(pt); i += BlockSize {
-		b.Encrypt(want[i:i+BlockSize], pt[i:i+BlockSize])
-	}
-	got := bytes.Clone(pt)
-	ECB(got, b.Encrypt)
-	if !bytes.Equal(got, want) {
-		t.Fatal("ECB encrypt diverges from per-block calls")
-	}
-	ECB(got, b.Decrypt)
-	if !bytes.Equal(got, pt) {
-		t.Fatal("ECB decrypt does not invert")
 	}
 }
 

@@ -20,8 +20,6 @@
 package eme
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
@@ -50,7 +48,7 @@ var (
 
 // Cipher is a wide-block cipher instance. It is safe for concurrent use.
 type Cipher struct {
-	block cipher.Block
+	block *blockmask.AES
 	l0    [BlockSize]byte // L = 2·E_K(0)
 	// masks is the whitening table L, 2L, 4L, … for the longest data
 	// unit. It depends on the key alone, so it is built once here and
@@ -60,7 +58,7 @@ type Cipher struct {
 
 // New creates a wide-block cipher from a 16, 24 or 32-byte AES key.
 func New(key []byte) (*Cipher, error) {
-	b, err := aes.NewCipher(key)
+	b, err := blockmask.NewAES(key)
 	if err != nil {
 		return nil, err
 	}
@@ -105,9 +103,9 @@ func (c *Cipher) Decrypt(dst, src []byte, tweak [TweakSize]byte) error {
 }
 
 // scratch holds the per-call working state. It lives on the heap (via a
-// sync.Pool) rather than the stack because the buffers are passed into
-// cipher.Block interface methods, which would force them to escape — and
-// allocate — on every call otherwise. Pooling keeps the hot sector path
+// sync.Pool) rather than the stack because the buffers are passed to the
+// crypt function value, which would force them to escape — and allocate
+// — on every call otherwise. Pooling keeps the hot sector path
 // allocation-free in the steady state.
 type scratch struct {
 	table  [MaxBlocks * BlockSize]byte // mix masks M, 2M, 4M, … from block 1 on
@@ -126,11 +124,11 @@ func fold(buf []byte) (lo, hi uint64) {
 	return lo, hi
 }
 
-// process is the transform in either direction (crypt is the block
-// cipher's Encrypt or Decrypt), worked in dst: every step is a
-// whole-data-unit pass — XOR with a mask table, ECB in place, or a
-// word-wide fold — around the single-block AES calls. dst and src have
-// equal, valid length and are the same slice or disjoint.
+// process is the transform in either direction (crypt is block.Encrypt
+// or block.Decrypt), worked in dst: every step is a whole-data-unit pass
+// — XOR with a mask table, AES over every block in place, or a
+// word-wide fold — around one single-block AES call for the mix. dst
+// and src have equal, valid length and are the same slice or disjoint.
 func (c *Cipher) process(dst, src []byte, tweak [TweakSize]byte, crypt func(dst, src []byte)) {
 	n := len(src)
 	s := scratchPool.Get().(*scratch)
@@ -138,7 +136,7 @@ func (c *Cipher) process(dst, src []byte, tweak [TweakSize]byte, crypt func(dst,
 
 	// Pass 1: whiten with the doubling mask and apply ECB.
 	subtle.XORBytes(dst, src, c.masks[:n])
-	blockmask.ECB(dst, crypt)
+	crypt(dst, dst)
 
 	// Mix: fold everything plus the tweak into a mask applied to blocks
 	// 2..m; block 1 carries the correction so the transform inverts.
@@ -158,6 +156,6 @@ func (c *Cipher) process(dst, src []byte, tweak [TweakSize]byte, crypt func(dst,
 	binary.LittleEndian.PutUint64(dst[8:BlockSize], mchi^thi^hi)
 
 	// Pass 2: ECB and unwhiten.
-	blockmask.ECB(dst, crypt)
+	crypt(dst, dst)
 	subtle.XORBytes(dst, dst, c.masks[:n])
 }

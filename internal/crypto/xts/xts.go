@@ -44,8 +44,9 @@ var (
 
 // Cipher is an XTS-AES instance. It is safe for concurrent use.
 type Cipher struct {
-	k1 cipher.Block // data encryption key
-	k2 cipher.Block // tweak encryption key
+	k1  *blockmask.AES // data encryption key, whole strides (kernel)
+	k1b cipher.Block   // the same key one block at a time (process)
+	k2  cipher.Block   // tweak encryption key
 }
 
 // NewCipher creates an XTS-AES cipher from the concatenation of the data
@@ -56,7 +57,11 @@ func NewCipher(key []byte) (*Cipher, error) {
 		return nil, fmt.Errorf("%w (got %d)", ErrKeySize, len(key))
 	}
 	half := len(key) / 2
-	k1, err := aes.NewCipher(key[:half])
+	k1, err := blockmask.NewAES(key[:half])
+	if err != nil {
+		return nil, err
+	}
+	k1b, err := aes.NewCipher(key[:half])
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +69,7 @@ func NewCipher(key []byte) (*Cipher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cipher{k1: k1, k2: k2}, nil
+	return &Cipher{k1: k1, k1b: k1b, k2: k2}, nil
 }
 
 // SectorTweak returns the conventional deterministic tweak for a sector:
@@ -95,7 +100,7 @@ func mul2(t *[TweakSize]byte) {
 // under the given tweak. len(dst) must be at least len(src), and
 // len(src) at least one block; ciphertext stealing covers trailing
 // partial blocks. Whole-block data units, which is every sector, take the
-// batched kernel.
+// batched kernel, whose AES runs eight blocks per pass on AES-NI.
 func (c *Cipher) Encrypt(dst, src []byte, tweak [TweakSize]byte) error {
 	if err := checkArgs(dst, src); err != nil {
 		return err
@@ -107,9 +112,11 @@ func (c *Cipher) Encrypt(dst, src []byte, tweak [TweakSize]byte) error {
 	return c.process(dst, src, tweak, true)
 }
 
-// Decrypt reverses Encrypt. It stays on the per-block loop: a faster
-// open moves the benchmark's virtual-clock percentiles on small reads
-// (ROADMAP, "virtual-clock percentiles depend on host speed").
+// Decrypt reverses Encrypt. It stays on the per-block loop, one
+// crypto/aes call per block: a faster open moves the benchmark's
+// virtual-clock percentiles on small reads (ROADMAP, "virtual-clock
+// percentiles depend on host speed"). Moving it onto the kernel is the
+// switch Encrypt makes, with k1.Decrypt.
 func (c *Cipher) Decrypt(dst, src []byte, tweak [TweakSize]byte) error {
 	if err := checkArgs(dst, src); err != nil {
 		return err
@@ -135,10 +142,10 @@ func checkArgs(dst, src []byte) error {
 const tableSize = 4096
 
 // kernel is XTS over whole blocks, batched by stride: build the tweak
-// table T·xⁱ, mask the whole stride with one XOR pass, run the block
-// function over it in place, and mask again. crypt is k1.Encrypt or
-// k1.Decrypt; dst and src have equal length, a multiple of BlockSize,
-// and are the same slice or disjoint.
+// table T·xⁱ, mask the whole stride with one XOR pass, run AES over it
+// in place, and mask again. crypt is k1.Encrypt or k1.Decrypt; dst and
+// src have equal length, a multiple of BlockSize, and are the same slice
+// or disjoint.
 func (c *Cipher) kernel(dst, src []byte, tweak [TweakSize]byte, crypt func(dst, src []byte)) {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
@@ -149,7 +156,7 @@ func (c *Cipher) kernel(dst, src []byte, tweak [TweakSize]byte, crypt func(dst, 
 		table := s.table[:n]
 		blockmask.Fill(table, &s.t)
 		subtle.XORBytes(dst[:n], src[:n], table)
-		blockmask.ECB(dst[:n], crypt)
+		crypt(dst[:n], dst[:n])
 		subtle.XORBytes(dst[:n], dst[:n], table)
 		dst, src = dst[n:], src[n:]
 	}
@@ -195,9 +202,9 @@ func (c *Cipher) process(dst, src []byte, tweak [TweakSize]byte, enc bool) error
 		d := dst[i*BlockSize : (i+1)*BlockSize]
 		xorBlock(x, s, t)
 		if enc {
-			c.k1.Encrypt(x[:], x[:])
+			c.k1b.Encrypt(x[:], x[:])
 		} else {
-			c.k1.Decrypt(x[:], x[:])
+			c.k1b.Decrypt(x[:], x[:])
 		}
 		xorInto(d, x, t)
 		mul2(t)
@@ -218,7 +225,7 @@ func (c *Cipher) process(dst, src []byte, tweak [TweakSize]byte, enc bool) error
 		// final partial ciphertext; the last full block is
 		// E(tail || rest of CC) under tweak m+1.
 		xorBlock(x, src[m*BlockSize:(m+1)*BlockSize], t)
-		c.k1.Encrypt(x[:], x[:])
+		c.k1b.Encrypt(x[:], x[:])
 		xorIntoSelf(x, t)
 		copy(cc[:], x[:])
 		copy(pp[:rem], tail[:rem])
@@ -227,21 +234,21 @@ func (c *Cipher) process(dst, src []byte, tweak [TweakSize]byte, enc bool) error
 		*t2 = *t
 		mul2(t2)
 		xorBlock(x, pp[:], t2)
-		c.k1.Encrypt(x[:], x[:])
+		c.k1b.Encrypt(x[:], x[:])
 		xorInto(dst[m*BlockSize:(m+1)*BlockSize], x, t2)
 	} else {
 		// Mirror image: decrypt the last full block under tweak m+1 first.
 		*t2 = *t
 		mul2(t2)
 		xorBlock(x, src[m*BlockSize:(m+1)*BlockSize], t2)
-		c.k1.Decrypt(x[:], x[:])
+		c.k1b.Decrypt(x[:], x[:])
 		xorIntoSelf(x, t2)
 		copy(pp[:], x[:])
 		copy(cc[:rem], tail[:rem])
 		copy(cc[rem:], pp[rem:])
 		copy(dst[(m+1)*BlockSize:], pp[:rem])
 		xorBlock(x, cc[:], t)
-		c.k1.Decrypt(x[:], x[:])
+		c.k1b.Decrypt(x[:], x[:])
 		xorInto(dst[m*BlockSize:(m+1)*BlockSize], x, t)
 	}
 	return nil
