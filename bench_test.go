@@ -16,9 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto/blockmask"
 	"repro/internal/crypto/eme"
-	"repro/internal/crypto/essiv"
 	"repro/internal/crypto/xts"
-	"repro/internal/dmcrypt"
 	"repro/internal/fio"
 	"repro/internal/rados"
 	"repro/internal/rbd"
@@ -311,8 +309,8 @@ func BenchmarkTheoreticalSectorCounts(b *testing.B) {
 }
 
 // BenchmarkCipherModes compares the sector ciphers of §2 on real CPU:
-// XTS (narrow block), ESSIV-CBC (historical), EME2-style (wide block),
-// and GCM (authenticated). This is ablation A-C.
+// the AES primitive beneath them, XTS (narrow block) and EME2-style
+// (wide block). This is ablation A-C.
 func BenchmarkCipherModes(b *testing.B) {
 	key64 := bytes.Repeat([]byte{7}, 64)
 	pt := make([]byte, 4096)
@@ -351,8 +349,8 @@ func BenchmarkCipherModes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// xts-512 is the dmcrypt sector size, where the per-call tweak
-	// encryption and table build amortise worst.
+	// xts-512 is the 512-byte sector of a legacy LUKS volume, where the
+	// per-call tweak encryption and table build amortise worst.
 	for _, tc := range []struct {
 		name string
 		n    int
@@ -371,18 +369,6 @@ func BenchmarkCipherModes(b *testing.B) {
 			}
 		})
 	}
-	b.Run("essiv-cbc-4K", func(b *testing.B) {
-		c, err := essiv.New(key64[:32])
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(4096)
-		for i := 0; i < b.N; i++ {
-			if err := c.EncryptSector(ct, pt, uint64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	emeCipher, err := eme.New(key64[:32])
 	if err != nil {
 		b.Fatal(err)
@@ -403,37 +389,6 @@ func BenchmarkCipherModes(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkDmIntegrityJournal is ablation A-J: the §2.3 related-work
-// configuration (dm-crypt + dm-integrity) with and without the journal,
-// demonstrating the ~2x slowdown the paper contrasts with its
-// transaction-based approach.
-func BenchmarkDmIntegrityJournal(b *testing.B) {
-	for _, journaled := range []bool{false, true} {
-		name := "direct"
-		if journaled {
-			name = "journaled"
-		}
-		b.Run(name+"/64K", func(b *testing.B) {
-			disk := simdisk.New("nvme", (2<<30)/simdisk.SectorSize, simdisk.DefaultCostModel())
-			g := dmcrypt.NewIntegrity(dmcrypt.DiskDevice{Disk: disk}, journaled)
-			c, err := dmcrypt.NewCryptRandIV(g, bytes.Repeat([]byte{3}, 64))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			res, err := fio.Run(fio.Spec{
-				Pattern: fio.RandWrite, BlockSize: 64 << 10, QueueDepth: 8, TotalOps: b.N,
-			}, c, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			b.SetBytes(64 << 10)
-			b.ReportMetric(res.MBps(), "virtualMB/s")
 		})
 	}
 }

@@ -98,6 +98,11 @@ var demoRows = []demoRow{
 		`(?m)^new  BenchmarkDatapathSeal/4KiB `,
 		`(?m)^benchgate: no regressions$`,
 	}, absent: []string{`(?m)^(ok|FAIL|gone) `}},
+	{bin: "benchgate", args: []string{"-base", "testdata/benchgate/base.txt", "-head", "testdata/benchgate/removed.txt"}, want: []string{
+		`(?m)^gone BenchmarkDatapathOpen/4KiB `,
+		`(?m)^ok   BenchmarkDatapathSeal/4KiB `,
+		`(?m)^benchgate: no regressions$`,
+	}, absent: []string{`(?m)^(new|FAIL) `}},
 	// §3.3's sector counts: a 4 KiB IO under unaligned/object-end reads 2.
 	{bin: "benchfig", args: []string{"-fig", "sectors"}, want: []string{
 		`(?m)^ +4 KiB +1 +2 +2 +1$`,

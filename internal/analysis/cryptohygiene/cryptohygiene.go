@@ -19,15 +19,13 @@ import (
 )
 
 // cryptoPackages is where the rules apply: the cipher and key-derivation
-// packages plus the two container/device layers that handle master keys.
+// packages plus the LUKS container, which handles master keys.
 var cryptoPackages = map[string]bool{
 	"eme":       true,
 	"xts":       true,
 	"blockmask": true,
 	"kdf":       true,
-	"essiv":     true,
 	"luks":      true,
-	"dmcrypt":   true,
 }
 
 var (

@@ -1,8 +1,8 @@
 // Package bench regenerates the paper's evaluation artifacts: Fig. 3a
 // (random read bandwidth), Fig. 3b (random write bandwidth), Fig. 4
 // (write overhead vs the LUKS2 baseline), the §3.3 in-text sector-count
-// table, and the ablations (dm-integrity journal, cipher microbenches
-// are in the root testing.B benches).
+// table. The cipher microbenches (ablation A-C) are in the root
+// testing.B benches.
 //
 // Each scheme gets a fresh simulated cluster mirroring §3.2 (3 OSD
 // nodes, 9 NVMe disks each, 3-way replication, 4 MB objects, 4 KiB

@@ -119,7 +119,7 @@ func FuzzKernelVsReference(f *testing.F) {
 
 // Inexact overlap is a caller bug that the two XOR passes would turn
 // into a panic inside the datapath pool; it must come back as an error
-// with dst untouched. Exact aliasing is how dmcrypt decrypts in place.
+// with dst untouched. Exact aliasing is how core opens a block in place.
 func TestOverlap(t *testing.T) {
 	c, _ := NewCipher(make([]byte, 64))
 	ops := map[string]func(dst, src []byte, tweak [TweakSize]byte) error{

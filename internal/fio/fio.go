@@ -15,8 +15,8 @@ import (
 	"repro/internal/vtime"
 )
 
-// Target is a virtual-time block device: encrypted images, plain images
-// and the dm-crypt comparator all satisfy it.
+// Target is a virtual-time block device: encrypted and plain images
+// both satisfy it.
 type Target interface {
 	ReadAt(at vtime.Time, p []byte, off int64) (vtime.Time, error)
 	WriteAt(at vtime.Time, p []byte, off int64) (vtime.Time, error)

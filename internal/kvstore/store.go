@@ -196,7 +196,9 @@ func (b *Batch) Len() int { return len(b.ops) }
 func (b *Batch) Bytes() int { return len(b.arena) }
 
 // Open loads the store from file, recovering committed state, or formats a
-// fresh store when the superblock is absent or invalid.
+// fresh store when the superblock is absent. A superblock that carries the
+// magic but fails validation is an error wrapping ErrCorrupt, and the file
+// is left as it was.
 func Open(at vtime.Time, file File, cfg Config) (*Store, vtime.Time, error) {
 	cfg = cfg.withDefaults()
 	if file.Size() < superSector+cfg.WALBytes+superSector {
@@ -221,7 +223,10 @@ func Open(at vtime.Time, file File, cfg Config) (*Store, vtime.Time, error) {
 	}
 	c.advance(end)
 
-	if binary.LittleEndian.Uint32(super[0:4]) == superMagic && s.loadSuper(c, super) == nil {
+	if binary.LittleEndian.Uint32(super[0:4]) == superMagic {
+		if err := s.loadSuper(c, super); err != nil {
+			return nil, at, err
+		}
 		// Replay the log into the memtable.
 		err := s.wal.replay(c, s.walEpoch, func(seqBase uint64, entries []memEntry) error {
 			for _, e := range entries {

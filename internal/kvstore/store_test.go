@@ -295,6 +295,63 @@ func TestPowerCutTornBatchDiscarded(t *testing.T) {
 	}
 }
 
+// TestOpenCorruptSuperblockIsLoud: a superblock that carries the magic
+// but does not validate is corruption, not a fresh disk. Open must fail
+// with ErrCorrupt and leave the sector as it found it, so the committed
+// state is still there to recover; only a file without the magic is
+// formatted.
+func TestOpenCorruptSuperblockIsLoud(t *testing.T) {
+	const n = 2000
+	f := newTestFile(t, 16)
+	cfg := smallConfig()
+	s := mustOpen(t, f, cfg)
+	for i := 0; i < n; i++ {
+		apply1(t, s, fmt.Sprintf("k%05d", i), "v")
+	}
+	readSuper := func() []byte {
+		t.Helper()
+		b := make([]byte, superSector)
+		if _, err := f.ReadAt(0, b, 0); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	openFails := func(name string, cfg Config) {
+		t.Helper()
+		before := readSuper()
+		if _, _, err := Open(0, f, cfg); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Open err = %v, want ErrCorrupt", name, err)
+		}
+		if !bytes.Equal(readSuper(), before) {
+			t.Fatalf("%s: failed Open rewrote the superblock", name)
+		}
+	}
+
+	wide := cfg
+	wide.WALBytes *= 2
+	openFails("WALBytes doubled", wide)
+	s2 := mustOpen(t, f, cfg)
+	for i := 0; i < n; i++ {
+		if v, ok := get(t, s2, fmt.Sprintf("k%05d", i)); !ok || v != "v" {
+			t.Fatalf("k%05d = %q,%v after a refused Open", i, v, ok)
+		}
+	}
+
+	super := readSuper()
+	super[17] ^= 0x04 // one bit of the sequence number
+	if _, err := f.WriteAt(0, super, 0); err != nil {
+		t.Fatal(err)
+	}
+	openFails("bit flip", cfg)
+
+	zero := newTestFile(t, 16)
+	s3 := mustOpen(t, zero, cfg)
+	apply1(t, s3, "fresh", "1")
+	if v, ok := get(t, mustOpen(t, zero, cfg), "fresh"); !ok || v != "1" {
+		t.Fatalf("all-zero file: fresh = %q,%v after format and reopen", v, ok)
+	}
+}
+
 func TestWALRotationOnFull(t *testing.T) {
 	cfg := smallConfig()
 	cfg.WALBytes = 16 << 10

@@ -361,12 +361,11 @@ func (d *Disk) WriteSectors(at vtime.Time, sector, n int64, p []byte) (vtime.Tim
 	return end, nil
 }
 
-// ReadAt implements byte-granular reads for convenience layers (for
-// example the dm-crypt comparator). The access is charged as the covering
-// sector-aligned read. A sector-aligned access reads straight into p; a
-// misaligned one (an unaligned-layout stream whose length is not a
-// sector multiple) reads the covering sectors into a pooled buffer, so
-// neither allocates payload-sized memory.
+// ReadAt implements byte-granular reads for partitions and extents. The
+// access is charged as the covering sector-aligned read. A sector-aligned
+// access reads straight into p; a misaligned one (an unaligned-layout
+// stream whose length is not a sector multiple) reads the covering
+// sectors into a pooled buffer, so neither allocates payload-sized memory.
 func (d *Disk) ReadAt(at vtime.Time, p []byte, off int64) (vtime.Time, error) {
 	if off < 0 {
 		return at, ErrOutOfRange

@@ -9,9 +9,9 @@
 // library implements the full system around that idea: a miniature Ceph
 // RADOS (OSDs, replication, transactions, OMAP, snapshots) over simulated
 // NVMe devices, an RBD-style image layer, a LUKS2-style key container,
-// AES-XTS/ESSIV/EME2/GCM sector ciphers, the paper's three IV placement
-// layouts, a dm-crypt+dm-integrity comparator, an fio-style workload
-// engine, and a benchmark harness regenerating every figure.
+// AES-XTS/EME2/GCM sector ciphers, the paper's three IV placement
+// layouts, an fio-style workload engine, and a benchmark harness
+// regenerating every figure.
 //
 // Beyond the paper's figures, the per-block metadata also carries a
 // key-epoch tag, unlocking the key-lifecycle workloads length-preserving
@@ -38,7 +38,6 @@
 package repro
 
 import (
-	"io"
 	"sync"
 	"time"
 
@@ -293,17 +292,10 @@ func ResumeFlatten(img *ClonedImage) (*Flattener, error) {
 // documented in METRICS.md).
 func MetricsSnapshot() string { return telemetry.Snapshot() }
 
-// WriteMetrics streams the same exposition to w.
-func WriteMetrics(w io.Writer) (int64, error) { return telemetry.Default.WriteTo(w) }
-
 // RecentTraces returns the most recently finished sampled per-op trace
 // spans, newest first, each carrying its per-hop virtual timeline
 // (client -> messenger -> OSD serve -> replicate).
 func RecentTraces() []TraceRecord { return telemetry.Ops.Recent() }
-
-// SlowTraces returns the slowest recent spans (those exceeding the
-// tracer's slow-op threshold), newest first.
-func SlowTraces() []TraceRecord { return telemetry.Ops.Slow() }
 
 // Attribution snapshots the always-on per-phase latency accounting: for
 // each op class (read/write/other), where its virtual time went —
