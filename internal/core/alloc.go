@@ -20,6 +20,11 @@ import (
 // allocAttr is the object attribute carrying the sidecar.
 const allocAttr = "core.alloc"
 
+// errNoSidecar reports a metadata-free object that exists without its
+// sidecar: which of its blocks hold data, and under which epoch, is
+// unknown, so every fetch and sidecar update of it fails loudly.
+var errNoSidecar = fmt.Errorf("%w: object exists without its allocation sidecar", ErrIntegrity)
+
 const (
 	allocVersion     = 1
 	allocFlagUniform = 1 << 0 // single epoch value covers every block

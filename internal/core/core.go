@@ -214,11 +214,8 @@ func Load(at vtime.Time, img *rbd.Image, passphrase []byte) (*EncryptedImage, vt
 		ring.install(ep, c)
 	}
 	ring.setCurrent(container.CurrentEpoch())
-	// A container from before the versioned-key table wrote scheme-only
-	// metadata slots; its on-disk geometry has no room for epoch tags.
-	tagged := len(container.Epochs) > 0
 	storedMeta := int64(proto.metaLen())
-	if storedMeta > 0 && tagged {
+	if storedMeta > 0 {
 		storedMeta += epochLen
 	}
 	e := &EncryptedImage{
@@ -229,12 +226,11 @@ func Load(at vtime.Time, img *rbd.Image, passphrase []byte) (*EncryptedImage, vt
 		container: container,
 		masterKey: masterKey,
 		plan: planner{
-			layout:      lay,
-			blockSize:   opts.BlockSize,
-			metaLen:     storedMeta,
-			objectSize:  img.ObjectSize(),
-			trackAlloc:  storedMeta == 0,
-			epochTagged: tagged && storedMeta > 0,
+			layout:     lay,
+			blockSize:  opts.BlockSize,
+			metaLen:    storedMeta,
+			objectSize: img.ObjectSize(),
+			trackAlloc: storedMeta == 0,
 		},
 		cpu:     vtime.NewMultiResource(img.Name()+"/crypto", modelCores),
 		workers: maxParallelism(),
@@ -773,12 +769,11 @@ func compactKept(blocks []int64, keep []bool, plain []byte, bs int64) []int64 {
 // ---- allocation sidecar cache (metadata-free schemes) ----
 
 // loadAlloc returns the object's decoded sidecar, fetching it from the
-// OSD on first touch. An object that exists without a sidecar was
-// written by a pre-sidecar build: its presence is seeded from the
-// logical size (the same fallback the read path uses) under the
-// implicit epoch 0, so the first tracked write cannot mask pre-existing
-// data as holes and Discard punches it for real. The caller must hold
-// the object's exclusive lock.
+// OSD on first touch; an object that does not exist yet starts with an
+// empty one. An object that exists without its sidecar is errNoSidecar
+// and nothing is cached, so no write can persist a guess about which of
+// its blocks hold data. The caller must hold the object's exclusive
+// lock.
 func (e *EncryptedImage) loadAlloc(at vtime.Time, objIdx int64) (*objAlloc, vtime.Time, error) {
 	e.allocMu.Lock()
 	a, ok := e.alloc[objIdx]
@@ -794,17 +789,14 @@ func (e *EncryptedImage) loadAlloc(at vtime.Time, objIdx int64) (*objAlloc, vtim
 		return nil, at, err
 	}
 	nb := e.plan.objBlocks()
-	if res[0].Status == rados.StatusOK {
+	switch {
+	case res[1].Status == rados.StatusNotFound:
+		a = newObjAlloc(nb)
+	case res[0].Status == rados.StatusNotFound:
+		return nil, at, errNoSidecar
+	default:
 		if a, err = decodeObjAlloc(res[0].Data, nb); err != nil {
 			return nil, at, err
-		}
-	} else {
-		a = newObjAlloc(nb)
-		if res[1].Status == rados.StatusOK {
-			bs := e.opts.BlockSize
-			for b := int64(0); b < nb && (b+1)*bs <= res[1].Size; b++ {
-				a.set(b, 0)
-			}
 		}
 	}
 	e.storeAlloc(objIdx, a)
@@ -873,9 +865,6 @@ func (e *EncryptedImage) Epochs() []uint32 { return e.ring.epochs() }
 // returns every new write seals under the new epoch. Existing blocks
 // keep their old epoch until the rekey walker re-seals them.
 func (e *EncryptedImage) BeginEpoch(at vtime.Time) (uint32, vtime.Time, error) {
-	if e.schemeMetaLen() > 0 && !e.plan.epochTagged {
-		return 0, at, errors.New("core: image predates the key-epoch table; its metadata slots cannot carry epoch tags (reformat to re-key)")
-	}
 	e.keyMu.Lock()
 	defer e.keyMu.Unlock()
 	prev := e.container.CurrentEpoch()

@@ -680,15 +680,17 @@ func TestZeroCiphertextNotAHole(t *testing.T) {
 	}
 }
 
-// TestLegacyContainerCompat simulates an image whose container predates
-// the versioned-key table: metadata slots carry scheme bytes only (no
-// epoch tag), reads must use that geometry, and re-keying is refused
-// because the on-disk slots have no room for tags.
-func TestLegacyContainerCompat(t *testing.T) {
-	for _, combo := range allCombos() {
+// TestLoadRejectsTablelessContainer: a container without its key-epoch
+// table (no wrap salt, no epochs) is a format no build writes, so
+// luks.Unmarshal and Load refuse it as corrupt rather than read its
+// slots with a guessed untagged geometry.
+func TestLoadRejectsTablelessContainer(t *testing.T) {
+	for _, combo := range []struct {
+		Scheme Scheme
+		Layout Layout
+	}{{SchemeXTSRand, LayoutObjectEnd}, {SchemeLUKS2, LayoutNone}} {
 		t.Run(fmt.Sprintf("%v/%v", combo.Scheme, combo.Layout), func(t *testing.T) {
 			e := newEncrypted(t, combo.Scheme, combo.Layout)
-			// Strip the epoch table from the persisted descriptor.
 			var desc format
 			if err := json.Unmarshal(e.Image().EncryptionBlob(), &desc); err != nil {
 				t.Fatal(err)
@@ -701,6 +703,9 @@ func TestLegacyContainerCompat(t *testing.T) {
 			if desc.LUKS, err = container.Marshal(); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := luks.Unmarshal(desc.LUKS); !errors.Is(err, luks.ErrCorrupt) {
+				t.Fatalf("luks.Unmarshal of a table-less container: %v, want ErrCorrupt", err)
+			}
 			blob, err := json.Marshal(desc)
 			if err != nil {
 				t.Fatal(err)
@@ -708,88 +713,57 @@ func TestLegacyContainerCompat(t *testing.T) {
 			if _, err := e.Image().SetEncryptionBlob(0, blob); err != nil {
 				t.Fatal(err)
 			}
-
-			legacy, _, err := Load(0, e.Image(), []byte("s3cret"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sml := legacy.schemeMetaLen(); int64(legacy.MetaLen()) != sml {
-				t.Fatalf("legacy stored meta %d, scheme meta %d", legacy.MetaLen(), sml)
-			}
-			data := make([]byte, 16<<10)
-			rand.New(rand.NewSource(4)).Read(data)
-			if _, err := legacy.WriteAt(0, data, 0); err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, len(data))
-			// Same handle and a cold reload both read the legacy geometry.
-			for _, h := range []*EncryptedImage{legacy, mustLoad(t, e.Image())} {
-				if _, err := h.ReadAt(0, got, 0); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, data) {
-					t.Fatal("legacy round trip failed")
-				}
-			}
-			_, _, err = legacy.BeginEpoch(0)
-			if legacy.schemeMetaLen() > 0 {
-				if err == nil {
-					t.Fatal("re-key accepted on a legacy metadata-layout image")
-				}
-			} else if err != nil {
-				// Metadata-free schemes keep epochs in the sidecar — a
-				// legacy container can start re-keying.
-				t.Fatal(err)
+			if _, _, err := Load(0, e.Image(), []byte("s3cret")); !errors.Is(err, luks.ErrCorrupt) {
+				t.Fatalf("Load of a table-less container: %v, want ErrCorrupt", err)
 			}
 		})
 	}
 }
 
-// TestPreSidecarObjectNotMasked: an object holding data written without
-// an allocation sidecar (a pre-sidecar build — simulated here by
-// writing sealed bytes through the raw writeOps path) must keep that
-// data visible after the first tracked write seeds the sidecar from the
-// logical size, and Discard must punch it for real.
-func TestPreSidecarObjectNotMasked(t *testing.T) {
+// TestMissingSidecarIsLoud: under LayoutNone an object that exists
+// without its allocation sidecar (sealed bytes planted through the raw
+// writeOps path) has unknown presence and epochs. Every entry point
+// that fetches it or updates its sidecar fails with ErrIntegrity, and
+// none of them writes a sidecar guessed from the object's size.
+func TestMissingSidecarIsLoud(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeLUKS2, SchemeEME2Det} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			e := newEncrypted(t, scheme, LayoutNone)
-			old := bytes.Repeat([]byte{0x3C}, 4096)
 			cipher := make([]byte, 4096)
-			if err := cryptorAt(t, e, 0).seal(cipher, old, 0, nil); err != nil {
+			if err := cryptorAt(t, e, 0).seal(cipher, bytes.Repeat([]byte{0x3C}, 4096), 0, nil); err != nil {
 				t.Fatal(err)
 			}
-			// Raw write: data lands, no sidecar — the pre-sidecar world.
 			if _, _, err := e.Image().Operate(0, 0, 0, e.plan.writeOps(0, cipher, nil)); err != nil {
 				t.Fatal(err)
 			}
-			// First tracked write to the same object (block 1).
-			fresh := bytes.Repeat([]byte{0x77}, 4096)
-			if _, err := e.WriteAt(0, fresh, 4096); err != nil {
+			buf := make([]byte, 4096)
+			for _, c := range []struct {
+				name string
+				run  func() error
+			}{
+				{"ReadAt", func() error { _, err := e.ReadAt(0, buf, 0); return err }},
+				{"WriteAt", func() error { _, err := e.WriteAt(0, buf, 4096); return err }},
+				{"Discard", func() error { _, err := e.Discard(0, 0, 4096); return err }},
+				{"PresentRange", func() error { _, _, err := e.PresentRange(0, 0, 4096, 0); return err }},
+				{"VerifyObject", func() error { _, _, _, err := e.VerifyObject(0, 0); return err }},
+				{"CopyupObject", func() error {
+					_, _, err := e.CopyupObject(0, 0, func(at vtime.Time, blocks []int64, plain []byte) ([]bool, vtime.Time, error) {
+						t.Error("CopyupObject asked for plaintext of an object with unknown presence")
+						return nil, at, nil
+					})
+					return err
+				}},
+			} {
+				if err := c.run(); !errors.Is(err, ErrIntegrity) {
+					t.Errorf("%s on an object without its sidecar: %v, want ErrIntegrity", c.name, err)
+				}
+			}
+			res, _, err := e.Image().Operate(0, 0, 0, []rados.Op{{Kind: rados.OpGetAttr, Key: []byte(allocAttr)}})
+			if err != nil {
 				t.Fatal(err)
 			}
-			got := make([]byte, 8192)
-			if _, err := e.ReadAt(0, got, 0); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got[:4096], old) {
-				t.Fatal("pre-sidecar block masked as a hole by the seeded sidecar")
-			}
-			if !bytes.Equal(got[4096:], fresh) {
-				t.Fatal("tracked write lost")
-			}
-			// And Discard of the pre-sidecar block actually erases it.
-			if _, err := e.Discard(0, 0, 4096); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.ReadAt(0, got[:4096], 0); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got[:4096], make([]byte, 4096)) {
-				t.Fatal("discarded pre-sidecar block still readable")
-			}
-			if ct := rawBlock(t, e, 0); !allZero(ct) {
-				t.Fatal("ciphertext of discarded pre-sidecar block survives")
+			if res[0].Status != rados.StatusNotFound {
+				t.Fatalf("a sidecar was written for the object: status %v", res[0].Status)
 			}
 		})
 	}

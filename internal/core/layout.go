@@ -80,18 +80,15 @@ func omapIVKeyInto(k []byte, block int64) {
 // parser (parseFetch) that owns every presence rule.
 //
 // metaLen is the STORED metadata per block: the scheme's IV/tag bytes
-// plus — when epochTagged — the epochLen-byte key-epoch tag (images
-// whose container predates the epoch table store scheme bytes only, and
-// cannot re-key until reformatted). trackAlloc marks the metadata-free
-// configuration (LayoutNone), which keeps presence and epoch in the
-// allocation sidecar attribute instead.
+// plus the epochLen-byte key-epoch tag, or 0. trackAlloc marks the
+// metadata-free configuration (LayoutNone), which keeps presence and
+// epoch in the allocation sidecar attribute instead.
 type planner struct {
-	layout      Layout
-	blockSize   int64
-	metaLen     int64
-	objectSize  int64 // plaintext bytes per object (the data region size)
-	trackAlloc  bool
-	epochTagged bool
+	layout     Layout
+	blockSize  int64
+	metaLen    int64
+	objectSize int64 // plaintext bytes per object (the data region size)
+	trackAlloc bool
 }
 
 // objBlocks is the number of encryption blocks per object.
@@ -178,11 +175,11 @@ func (w *writePlan) metaDst(b int64) []byte {
 }
 
 // sealBlock seals src into block b's wire destination under (sealer,
-// epoch): where the stored slot has an epoch-tag tail the tag is stamped
-// there and the scheme sees only its own prefix.
+// epoch): a stored slot's tail is the epoch tag, stamped there, and the
+// scheme sees only its own prefix.
 func (w *writePlan) sealBlock(sealer cryptor, epoch uint32, b int64, blockIdx uint64, src []byte) error {
 	meta := w.metaDst(b)
-	if w.p.epochTagged {
+	if len(meta) > 0 {
 		sml := len(meta) - epochLen
 		binary.LittleEndian.PutUint32(meta[sml:], epoch)
 		meta = meta[:sml]
@@ -412,12 +409,9 @@ func (p *planner) parseRead(startBlock, nb int64, res []rados.Result) (cipher, m
 //     exists in the object database (exact per-block presence);
 //   - LayoutNone                  → a block is present iff its bit is set
 //     in the allocation sidecar, which also carries its epoch (exact
-//     presence; objects written before the sidecar existed fall back to
-//     the logical-size fence alone, under the implicit epoch 0 —
-//     interior holes then decrypt to deterministic garbage, the
-//     contract dm-crypt gives);
-//   - epoch tag                   → the tail of a present block's slot;
-//     legacy (untagged) slots leave epoch 0, the master-key epoch.
+//     presence); an object that exists without its sidecar is
+//     errNoSidecar, never a guess;
+//   - epoch tag                   → the tail of a present block's slot.
 //
 // Data content is deliberately never sniffed: a written block whose
 // ciphertext happens to be all zeros (plaintext Decrypt(0)) is present
@@ -457,11 +451,11 @@ func (p *planner) parseFetch(startBlock, nb int64, withData bool, res []rados.Re
 			fillFrom(cipher, res[data].Data)
 		}
 	}
-	// A missing sidecar is not an error but the pre-sidecar fallback.
-	if p.layout != LayoutNone {
-		if err := src.Status.Err(); err != nil {
-			return err
-		}
+	if p.layout == LayoutNone && src.Status == rados.StatusNotFound {
+		return errNoSidecar
+	}
+	if err := src.Status.Err(); err != nil {
+		return err
 	}
 
 	// fenceBase + (block+1)*fenceStep is where a block's stored footprint
@@ -469,22 +463,19 @@ func (p *planner) parseFetch(startBlock, nb int64, withData bool, res []rados.Re
 	var fenceBase, fenceStep int64
 	switch p.layout {
 	case LayoutNone:
-		fenceStep = bs
-		if src.Status == rados.StatusOK {
-			a, err := decodeObjAlloc(src.Data, p.objBlocks())
-			if err != nil {
-				return err
-			}
-			for b := int64(0); b < nb; b++ {
-				if a.present(startBlock + b) {
-					present[b] = 1
-					if epochs != nil {
-						binary.LittleEndian.PutUint32(epochs[b*epochLen:], a.epoch(startBlock+b))
-					}
+		a, err := decodeObjAlloc(src.Data, p.objBlocks())
+		if err != nil {
+			return err
+		}
+		for b := int64(0); b < nb; b++ {
+			if a.present(startBlock + b) {
+				present[b] = 1
+				if epochs != nil {
+					binary.LittleEndian.PutUint32(epochs[b*epochLen:], a.epoch(startBlock+b))
 				}
 			}
-			return nil
 		}
+		return nil
 
 	case LayoutUnaligned:
 		// The stream lands in raw (free when the in-process read already
@@ -523,7 +514,7 @@ func (p *planner) parseFetch(startBlock, nb int64, withData bool, res []rados.Re
 			present[b] = boolByte(fenceBase+(startBlock+b+1)*fenceStep <= stat.Size &&
 				!(ml > 0 && allZero(metas[b*ml:(b+1)*ml])))
 		}
-		if present[b] != 0 && epochs != nil && p.epochTagged {
+		if present[b] != 0 && epochs != nil && ml > 0 {
 			copy(epochs[b*epochLen:(b+1)*epochLen], metas[(b+1)*ml-epochLen:(b+1)*ml])
 		}
 	}

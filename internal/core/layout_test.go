@@ -13,17 +13,19 @@ import (
 )
 
 // fakeStore executes a planner's ops against a flat in-memory object with
-// an OMAP map — a model of one RADOS object for layout-only testing. It
-// tracks the logical size the way the blobstore does (high-water mark of
-// write ends), which parseRead uses as its presence signal.
+// an OMAP map and attributes — a model of one RADOS object for
+// layout-only testing. It tracks the logical size the way the blobstore
+// does (high-water mark of write ends), which parseRead uses as its
+// presence signal.
 type fakeStore struct {
-	data []byte
-	size int64
-	omap map[string][]byte
+	data  []byte
+	size  int64
+	omap  map[string][]byte
+	attrs map[string][]byte
 }
 
 func newFakeStore(capacity int64) *fakeStore {
-	return &fakeStore{data: make([]byte, capacity), omap: map[string][]byte{}}
+	return &fakeStore{data: make([]byte, capacity), omap: map[string][]byte{}, attrs: map[string][]byte{}}
 }
 
 func (f *fakeStore) apply(ops []rados.Op) []rados.Result {
@@ -43,6 +45,16 @@ func (f *fakeStore) apply(ops []rados.Op) []rados.Result {
 			out[i] = rados.Result{Status: rados.StatusOK}
 		case rados.OpRead:
 			out[i] = rados.Result{Status: rados.StatusOK, Data: append([]byte(nil), f.data[op.Off:op.Off+op.Len]...)}
+		case rados.OpSetAttr:
+			f.attrs[string(op.Key)] = append([]byte(nil), op.Data...)
+			out[i] = rados.Result{Status: rados.StatusOK}
+		case rados.OpGetAttr:
+			v, ok := f.attrs[string(op.Key)]
+			if !ok {
+				out[i] = rados.Result{Status: rados.StatusNotFound}
+				continue
+			}
+			out[i] = rados.Result{Status: rados.StatusOK, Data: v}
 		case rados.OpStat:
 			out[i] = rados.Result{Status: rados.StatusOK, Size: f.size}
 		case rados.OpOmapGetRange:
@@ -78,9 +90,10 @@ func TestPlannerRoundTripProperty(t *testing.T) {
 		{LayoutOMAP, 28},
 	}
 	for _, lc := range layouts {
-		p := &planner{layout: lc.layout, blockSize: 4096, metaLen: lc.metaLen, objectSize: objectSize}
+		p := &planner{layout: lc.layout, blockSize: 4096, metaLen: lc.metaLen, objectSize: objectSize, trackAlloc: lc.metaLen == 0}
 		store := newFakeStore(objectSize + objectSize/4096*lc.metaLen + 4096)
 		written := map[int64][2][]byte{} // block -> (cipher, meta)
+		alloc := newObjAlloc(p.objBlocks())
 
 		f := func(start16 uint8, n8 uint8, seed int64) bool {
 			start := int64(start16) % 250
@@ -94,7 +107,16 @@ func TestPlannerRoundTripProperty(t *testing.T) {
 			metas := make([]byte, nb*lc.metaLen)
 			rng.Read(metas)
 
-			store.apply(p.writeOps(start, cipher, metas))
+			ops := p.writeOps(start, cipher, metas)
+			if p.trackAlloc {
+				// The sidecar rides in the same transaction, as resealObject
+				// appends it.
+				for b := start; b < start+nb; b++ {
+					alloc.set(b, 0)
+				}
+				ops = append(ops, sidecarOp(alloc))
+			}
+			store.apply(ops)
 			for b := int64(0); b < nb; b++ {
 				written[start+b] = [2][]byte{
 					append([]byte(nil), cipher[b*4096:(b+1)*4096]...),
@@ -270,7 +292,7 @@ func TestOpVectorsGolden(t *testing.T) {
 	}
 	for _, g := range golden {
 		p := &planner{layout: g.layout, blockSize: 4096, metaLen: g.metaLen, objectSize: 4 << 20,
-			trackAlloc: g.metaLen == 0, epochTagged: g.metaLen > 0}
+			trackAlloc: g.metaLen == 0}
 		raw, metas := make([]byte, 5*(4096+g.metaLen)), make([]byte, 5*max(g.metaLen, 1))
 		w := p.newWritePlan(3, 5)
 		d, discard := p.discardPlan(3, 5)

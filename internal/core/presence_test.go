@@ -6,73 +6,23 @@ package core
 // CopyupObject (the probe under the object lock). A disagreement is
 // silent data corruption: a clone read-through that believes a block
 // absent serves the parent's stale plaintext. This property test drives
-// every scheme×layout, the untagged legacy slot geometry and the
-// sidecar-less metadata-free object through a seeded mix of writes,
-// discards and a snapshot, and holds all four to one model from outside.
+// every scheme×layout through a seeded mix of writes, discards and a
+// snapshot, and holds all four to one model from outside. (An object
+// whose presence is unknown — metadata-free, without its sidecar — is an
+// error at every entry point instead: TestMissingSidecarIsLoud.)
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/luks"
 	"repro/internal/vtime"
 )
 
-// legacyEncrypted returns an image whose container predates the key-epoch
-// table, so its metadata slots carry scheme bytes only (the geometry of
-// TestLegacyContainerCompat).
-func legacyEncrypted(t *testing.T, scheme Scheme, layout Layout) *EncryptedImage {
-	t.Helper()
-	e := newEncrypted(t, scheme, layout)
-	var desc format
-	if err := json.Unmarshal(e.Image().EncryptionBlob(), &desc); err != nil {
-		t.Fatal(err)
-	}
-	container, err := luks.Unmarshal(desc.LUKS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	container.Epochs, container.WrapSalt, container.Current = nil, nil, 0
-	if desc.LUKS, err = container.Marshal(); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Image().SetEncryptionBlob(0, blob); err != nil {
-		t.Fatal(err)
-	}
-	return mustLoad(t, e.Image())
-}
-
 func TestPresenceIsOneFunction(t *testing.T) {
-	type presenceCase struct {
-		name       string
-		scheme     Scheme
-		layout     Layout
-		legacy     bool // untagged metadata slots
-		preSidecar bool // data planted without an allocation sidecar
-	}
-	var cases []presenceCase
-	for _, c := range allCombos() {
-		cases = append(cases,
-			presenceCase{name: fmt.Sprintf("%v/%v", c.Scheme, c.Layout), scheme: c.Scheme, layout: c.Layout},
-			presenceCase{name: fmt.Sprintf("%v/%v/legacy", c.Scheme, c.Layout), scheme: c.Scheme, layout: c.Layout, legacy: true})
-		if c.Layout == LayoutNone {
-			cases = append(cases, presenceCase{name: fmt.Sprintf("%v/%v/pre-sidecar", c.Scheme, c.Layout), scheme: c.Scheme, layout: c.Layout, preSidecar: true})
-		}
-	}
-	for ci, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var e *EncryptedImage
-			if tc.legacy {
-				e = legacyEncrypted(t, tc.scheme, tc.layout)
-			} else {
-				e = newEncrypted(t, tc.scheme, tc.layout)
-			}
+	for ci, c := range allCombos() {
+		t.Run(fmt.Sprintf("%v/%v", c.Scheme, c.Layout), func(t *testing.T) {
+			e := newEncrypted(t, c.Scheme, c.Layout)
 			const (
 				bs      = int64(DefaultBlockSize)
 				objBlks = int64(256) // newEncrypted stripes 1 MiB objects
@@ -82,27 +32,6 @@ func TestPresenceIsOneFunction(t *testing.T) {
 			head := make([]bool, blocks)
 			var snap []bool
 			var snapID uint64
-
-			if tc.preSidecar {
-				// Sealed bytes land through the raw write path: no sidecar.
-				// The documented fallback reads everything below the
-				// object's logical size as present, interior holes too.
-				for _, run := range [][3]int64{{0, 4, 5}, {1, 0, 3}} { // object, first block, blocks
-					cipher := make([]byte, run[2]*bs)
-					for b := int64(0); b < run[2]; b++ {
-						blockIdx := uint64(run[0]*objBlks + run[1] + b)
-						if err := cryptorAt(t, e, 0).seal(cipher[b*bs:(b+1)*bs], make([]byte, bs), blockIdx, nil); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if _, _, err := e.Image().Operate(0, run[0], 0, e.plan.writeOps(run[1], cipher, nil)); err != nil {
-						t.Fatal(err)
-					}
-					for b := int64(0); b < run[1]+run[2]; b++ {
-						head[run[0]*objBlks+b] = true
-					}
-				}
-			}
 
 			rng := rand.New(rand.NewSource(int64(1000 + ci)))
 			const steps = 28

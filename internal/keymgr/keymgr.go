@@ -78,8 +78,8 @@ func hooks(img *core.EncryptedImage) rbd.WalkHooks[Progress] {
 // seals under it. A crash between the two leaves a record targeting an
 // epoch the container does not have yet; Resume detects that and
 // finishes Start's job, so no transition can be stranded half-begun
-// with the retiring key left alive forever. If the mint is refused
-// (legacy geometry, persist failure, ...) the record is withdrawn. The
+// with the retiring key left alive forever. If the mint fails (say,
+// the container cannot be persisted) the record is withdrawn. The
 // data walk happens in Step/Run.
 func Start(at vtime.Time, img *core.EncryptedImage) (*Rekeyer, vtime.Time, error) {
 	from := img.CurrentEpoch()

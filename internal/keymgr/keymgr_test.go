@@ -2,21 +2,17 @@ package keymgr
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fio"
-	"repro/internal/luks"
 	"repro/internal/rados"
 	"repro/internal/rbd"
 	"repro/internal/simdisk"
-	"repro/internal/telemetry"
 )
 
 const (
@@ -404,52 +400,6 @@ func TestAbortAndRestartRekey(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("data lost across abort+restart")
-	}
-}
-
-// TestRefusedStartLeavesNoWalk: on an image whose container predates the
-// key-epoch table BeginEpoch refuses, so Start must leave nothing
-// behind — no record wedging the image behind ErrRekeyActive, and no
-// rekey_* series showing a walk in flight that does not exist.
-func TestRefusedStartLeavesNoWalk(t *testing.T) {
-	e := newEncrypted(t, core.SchemeXTSRand, core.LayoutObjectEnd)
-	// Strip the epoch table from the persisted descriptor.
-	var desc map[string]json.RawMessage
-	if err := json.Unmarshal(e.Image().EncryptionBlob(), &desc); err != nil {
-		t.Fatal(err)
-	}
-	container, err := luks.Unmarshal(desc["luks"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	container.Epochs, container.WrapSalt, container.Current = nil, nil, 0
-	if desc["luks"], err = container.Marshal(); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Image().SetEncryptionBlob(0, blob); err != nil {
-		t.Fatal(err)
-	}
-	legacy := reload(t, e)
-
-	if _, _, err := Start(0, legacy); err == nil || errors.Is(err, ErrRekeyActive) {
-		t.Fatalf("Start on a legacy-geometry image: %v", err)
-	}
-	if found, _, _, err := walk.Active(0, legacy.Image()); err != nil || found {
-		t.Fatalf("refused Start left a record: found=%v err=%v", found, err)
-	}
-	for _, fam := range telemetry.Default.Families() {
-		if !strings.HasPrefix(fam.Name(), "rekey_") {
-			continue
-		}
-		fam.EachSeries(func(labels string, _ *telemetry.Counter, g *telemetry.Gauge, _ *telemetry.Histogram) {
-			if strings.Contains(labels, fmt.Sprintf("%q", legacy.Image().Name())) {
-				t.Errorf("refused Start left series %s%s", fam.Name(), labels)
-			}
-		})
 	}
 }
 

@@ -111,9 +111,6 @@ type table struct {
 // it after allocating a segment). It copies what it keeps, so the entries
 // may be views.
 func buildTable(entries []memEntry, blockBytes, bloomBitsPerKey int) (*table, []byte) {
-	if blockBytes <= 0 {
-		blockBytes = 4096
-	}
 	t := &table{numEntries: int64(len(entries))}
 	bloom := newBloom(len(entries), bloomBitsPerKey)
 	// Size the segment image once. A closed block holds at least

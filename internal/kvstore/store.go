@@ -34,16 +34,19 @@ const (
 	superMagic   = 0x4B565355 // "KVSU"
 	superVersion = 1
 	superSector  = 4096
+
+	// tableBlockBytes is the SSTable data block target size.
+	tableBlockBytes = 4096
+	// tableBloomBits sizes per-table bloom filters, in bits per key.
+	tableBloomBits = 10
+	// skipSeed makes skiplist behavior deterministic.
+	skipSeed = 1
 )
 
 // Config tunes the store. Zero values select sensible defaults.
 type Config struct {
 	// MemtableBytes triggers a flush when the memtable grows past it.
 	MemtableBytes int64
-	// BlockBytes is the SSTable data block target size.
-	BlockBytes int
-	// BloomBitsPerKey sizes per-table bloom filters.
-	BloomBitsPerKey int
 	// Fanout is how many tables accumulate in a level before compaction.
 	Fanout int
 	// MaxLevels bounds the level hierarchy (the last level self-compacts).
@@ -57,19 +60,11 @@ type Config struct {
 	// is the mechanism behind the paper's OMAP collapse at large IO sizes
 	// ("the DB fails to provide high performance", §3.3). Zero disables.
 	IngestPerEntry time.Duration
-	// Seed makes skiplist behavior deterministic.
-	Seed int64
 }
 
 func (c Config) withDefaults() Config {
 	if c.MemtableBytes <= 0 {
 		c.MemtableBytes = 1 << 20
-	}
-	if c.BlockBytes <= 0 {
-		c.BlockBytes = 4096
-	}
-	if c.BloomBitsPerKey <= 0 {
-		c.BloomBitsPerKey = 10
 	}
 	if c.Fanout <= 1 {
 		c.Fanout = 4
@@ -79,9 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WALBytes <= 0 {
 		c.WALBytes = 8 << 20
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -207,7 +199,7 @@ func Open(at vtime.Time, file File, cfg Config) (*Store, vtime.Time, error) {
 	s := &Store{
 		file:    file,
 		cfg:     cfg,
-		mem:     newMemtable(cfg.Seed, cfg.MemtableBytes),
+		mem:     newMemtable(skipSeed, cfg.MemtableBytes),
 		levels:  make([][]*table, cfg.MaxLevels),
 		segBase: superSector + cfg.WALBytes,
 	}
@@ -546,13 +538,13 @@ func (s *Store) flushLocked(c *cursor) error {
 		return err
 	}
 	// The table holds copies of everything the memtable held.
-	s.mem.reset(s.cfg.Seed + int64(s.walEpoch))
+	s.mem.reset(skipSeed + int64(s.walEpoch))
 	return s.compactLocked(c)
 }
 
 // writeTable serializes entries into a freshly allocated segment.
 func (s *Store) writeTable(c *cursor, entries []memEntry) (*table, error) {
-	t, seg := buildTable(entries, s.cfg.BlockBytes, s.cfg.BloomBitsPerKey)
+	t, seg := buildTable(entries, tableBlockBytes, tableBloomBits)
 	segLen := (int64(len(seg)) + superSector - 1) / superSector * superSector
 	if s.nextFree+segLen > s.file.Size() {
 		return nil, fmt.Errorf("kvstore: out of space (need %d at %d, file %d)", segLen, s.nextFree, s.file.Size())

@@ -20,7 +20,6 @@
 package luks
 
 import (
-	"bytes"
 	"crypto/rand"
 	"crypto/subtle"
 	"encoding/json"
@@ -90,9 +89,8 @@ type Container struct {
 	Slots      []Keyslot `json:"slots"`
 
 	// The versioned master-key table. WrapSalt feeds the KEK derivation;
-	// Current is the epoch new writes must seal under. Containers from
-	// before the table existed have no entries: epoch 0 is then the master
-	// key itself (see EpochKey).
+	// Current is the epoch new writes must seal under and is always one
+	// of Epochs (Unmarshal refuses a container where it is not).
 	WrapSalt []byte     `json:"wrap_salt,omitempty"`
 	Current  uint32     `json:"current_epoch,omitempty"`
 	Epochs   []KeyEpoch `json:"epochs,omitempty"`
@@ -177,12 +175,8 @@ func (c *Container) findEpoch(epoch uint32) *KeyEpoch {
 // CurrentEpoch returns the epoch new writes seal under.
 func (c *Container) CurrentEpoch() uint32 { return c.Current }
 
-// EpochIDs lists the live (non-destroyed) epochs, oldest first. A legacy
-// container without a table reports the implicit epoch 0.
+// EpochIDs lists the live (non-destroyed) epochs, oldest first.
 func (c *Container) EpochIDs() []uint32 {
-	if len(c.Epochs) == 0 {
-		return []uint32{0}
-	}
 	out := make([]uint32, len(c.Epochs))
 	for i, e := range c.Epochs {
 		out[i] = e.Epoch
@@ -192,33 +186,10 @@ func (c *Container) EpochIDs() []uint32 {
 
 // AddEpoch mints the next key epoch: a fresh random 64-byte data key,
 // wrapped under the master-key KEK, appended to the table and made
-// current. It returns the new epoch id.
+// current. It returns the new epoch id: one past the highest in the
+// table, so the first epoch Format mints is 0.
 func (c *Container) AddEpoch(masterKey []byte) (uint32, error) {
-	legacy := len(c.WrapSalt) == 0
-	if legacy {
-		// Pre-table container: create the table lazily, and materialize
-		// the implicit epoch 0 (the master key itself) as a real entry so
-		// it stays resolvable — and eventually destroyable — once other
-		// epochs exist.
-		wsalt, err := randBytes(32)
-		if err != nil {
-			return 0, err
-		}
-		c.WrapSalt = wsalt
-		ci, err := c.kek(masterKey)
-		if err != nil {
-			return 0, err
-		}
-		wrapped := make([]byte, MasterKeySize)
-		if err := ci.Encrypt(wrapped, masterKey, xts.SectorTweak(0)); err != nil {
-			return 0, err
-		}
-		c.Epochs = append(c.Epochs, KeyEpoch{Epoch: 0, Wrapped: wrapped, Check: epochCheck(c, masterKey)})
-	}
 	var next uint32
-	if legacy || len(c.Epochs) > 0 {
-		next = c.Current + 1
-	}
 	for _, e := range c.Epochs {
 		if e.Epoch >= next {
 			next = e.Epoch + 1
@@ -259,12 +230,9 @@ func (c *Container) RetractEpoch(epoch, prevCurrent uint32) error {
 	return fmt.Errorf("%w: epoch %d", ErrEpochUnknown, epoch)
 }
 
-// EpochKey unwraps the data key for an epoch. For a legacy container
-// without an epoch table, epoch 0 is the master key itself.
+// EpochKey unwraps the data key for an epoch; an id with no table entry
+// is ErrEpochUnknown.
 func (c *Container) EpochKey(masterKey []byte, epoch uint32) ([]byte, error) {
-	if len(c.Epochs) == 0 && epoch == 0 {
-		return append([]byte(nil), masterKey...), nil
-	}
 	e := c.findEpoch(epoch)
 	if e == nil {
 		return nil, fmt.Errorf("%w: epoch %d", ErrEpochUnknown, epoch)
@@ -420,17 +388,23 @@ func (c *Container) Marshal() ([]byte, error) {
 	return json.Marshal(c)
 }
 
-// Unmarshal parses a container and validates its magic.
+// Unmarshal parses a container and validates its shape: the magic, the
+// keyslot bound, and a key-epoch table with a wrap salt and the current
+// epoch in it. Anything else is ErrCorrupt.
 func Unmarshal(b []byte) (*Container, error) {
 	var c Container
 	if err := json.Unmarshal(b, &c); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if c.MagicField != Magic {
+	switch {
+	case c.MagicField != Magic:
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if len(c.Slots) > MaxSlots || !bytes.Equal([]byte(c.MagicField), []byte(Magic)) {
-		return nil, ErrCorrupt
+	case len(c.Slots) > MaxSlots:
+		return nil, fmt.Errorf("%w: %d keyslots", ErrCorrupt, len(c.Slots))
+	case len(c.WrapSalt) == 0:
+		return nil, fmt.Errorf("%w: no key-epoch wrap salt", ErrCorrupt)
+	case c.findEpoch(c.Current) == nil:
+		return nil, fmt.Errorf("%w: current epoch %d not in the table", ErrCorrupt, c.Current)
 	}
 	return &c, nil
 }

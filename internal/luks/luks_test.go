@@ -3,6 +3,7 @@ package luks
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -303,38 +304,50 @@ func TestEpochKeyWrongMasterKeyRejected(t *testing.T) {
 	}
 }
 
-func TestLegacyContainerImplicitEpochZero(t *testing.T) {
+// FuzzContainerUnmarshal: Unmarshal never panics, refuses with
+// ErrCorrupt, and what it accepts is a container the epoch API can
+// serve — a wrap salt, the current epoch among the live ones, and every
+// live epoch resolving to a key or an error. Unlock is left out: the
+// blob sets the keyslots' PBKDF2 iteration counts.
+func FuzzContainerUnmarshal(f *testing.F) {
 	c, mk, err := Format([]byte("p"), "x")
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	// Simulate a pre-epoch-table container.
-	c.Epochs, c.WrapSalt, c.Current = nil, nil, 0
-	k, err := c.EpochKey(mk, 0)
+	blob, err := c.Marshal()
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	if !bytes.Equal(k, mk) {
-		t.Fatal("legacy epoch 0 must be the master key")
+	stripped := *c
+	stripped.Epochs, stripped.WrapSalt, stripped.Current = nil, nil, 0
+	tableless, err := stripped.Marshal()
+	if err != nil {
+		f.Fatal(err)
 	}
-	if got := c.EpochIDs(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("epoch ids %v", got)
+	f.Add(blob)
+	f.Add(tableless)
+	for _, n := range []int{0, 1, len(blob) / 2, len(blob) - 1} {
+		f.Add(blob[:n])
 	}
-	// AddEpoch lazily creates the table — and materializes the implicit
-	// epoch 0 so it remains resolvable (and destroyable) afterwards.
-	if e, err := c.AddEpoch(mk); err != nil || e != 1 {
-		t.Fatalf("lazy AddEpoch: %d %v", e, err)
-	}
-	if got := c.EpochIDs(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("epoch ids after lazy table creation %v", got)
-	}
-	if k0, err := c.EpochKey(mk, 0); err != nil || !bytes.Equal(k0, mk) {
-		t.Fatalf("implicit epoch 0 lost by lazy table creation: %v", err)
-	}
-	if err := c.DestroyEpoch(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.EpochKey(mk, 0); !errors.Is(err, ErrEpochUnknown) {
-		t.Fatalf("destroyed legacy epoch still unwraps: %v", err)
-	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c, err := Unmarshal(b)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("refusal does not wrap ErrCorrupt: %v", err)
+			}
+			return
+		}
+		if len(c.WrapSalt) == 0 {
+			t.Fatal("accepted a container without a wrap salt")
+		}
+		ids := c.EpochIDs()
+		if !slices.Contains(ids, c.CurrentEpoch()) {
+			t.Fatalf("accepted current epoch %d outside the live epochs %v", c.CurrentEpoch(), ids)
+		}
+		for _, id := range ids {
+			if key, err := c.EpochKey(mk, id); err == nil && len(key) == 0 {
+				t.Fatalf("epoch %d: neither a key nor an error", id)
+			}
+		}
+	})
 }

@@ -228,6 +228,17 @@ func TestAnalyzeSpanReplicaLegWire(t *testing.T) {
 	if children != 6 {
 		t.Errorf("%d children, want 6 (three hops per replica leg)\n%s", children, cp)
 	}
+	// The straggler is osd2's whole leg: its request transit, serve and
+	// reply transit are all on the critical path, osd1's leg is not.
+	for _, st := range cp.Steps {
+		if !st.Child {
+			continue
+		}
+		wantCritical := st.Start == 300 && st.End == 450 || st.Name == "osd2:serve" || st.Start == 700 && st.End == 900
+		if st.Critical != wantCritical {
+			t.Errorf("step %s [%d,%d) critical=%v, want %v\n%s", st.Name, st.Start, st.End, st.Critical, wantCritical, cp)
+		}
+	}
 }
 
 // TestAnalyzeSpanUnreplicated covers the read shape: no replicate

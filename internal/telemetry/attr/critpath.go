@@ -6,7 +6,7 @@ package attr
 // construction: the primary's serve hop starts before its replicate
 // hop, and every replica leg's hops — transport and serve — nest
 // inside the replicate window. The analyzer rebuilds that parent/child
-// tree, names the straggler replica that bounded the fan-out, and
+// tree, names the straggler replica leg that bounded the fan-out, and
 // reports the dominant phase — the "where did the time go" answer for
 // one slow op.
 
@@ -26,7 +26,7 @@ type Step struct {
 	End       vtime.Time
 	Child     bool // replica-leg hop nested inside the replicate window
 	Critical  bool // on the critical path
-	Straggler bool // the replica serve that bounded the replicate window
+	Straggler bool // the serve of the straggler replica leg
 }
 
 // Duration is the step's elapsed virtual time.
@@ -73,9 +73,15 @@ func AnalyzeSpan(rec telemetry.SpanRecord) CriticalPath {
 	// Classify hops against the replicate window: every hop starting in
 	// [Start, End) belongs to a replica leg and is a child. The window is
 	// half-open because the client's msgr:resp starts exactly at its
-	// end. The child serve ending last is the straggler that bounded the
-	// fan-out.
-	straggler := -1
+	// end. Legs are rebuilt from recording order: the joined round trips
+	// run one after another, each recording msgr:req, its serve and
+	// msgr:resp. The leg whose serve ends last is the straggler. Its
+	// reply need not end last: a reply that reached the primary's link
+	// earlier in virtual time, but reserved it later, is placed after the
+	// straggler's and ends after it, and telling that wait apart from a
+	// slow leg needs the wait records of ROADMAP item 23.
+	leg := make([]int, len(steps)) // leg number per child hop, from 1
+	legs, served, straggler := 0, false, -1
 	if repl >= 0 {
 		w := steps[repl]
 		for i := range steps {
@@ -83,7 +89,14 @@ func AnalyzeSpan(rec telemetry.SpanRecord) CriticalPath {
 				continue
 			}
 			steps[i].Child = true
-			if steps[i].Phase == PhaseServe && (straggler < 0 || steps[i].End > steps[straggler].End) {
+			serve := steps[i].Phase == PhaseServe
+			if legs == 0 || steps[i].Name == "msgr:req" || serve && served {
+				legs++
+				served = false
+			}
+			leg[i] = legs
+			served = served || serve
+			if serve && (straggler < 0 || steps[i].End > steps[straggler].End) {
 				straggler = i
 			}
 		}
@@ -110,11 +123,10 @@ func AnalyzeSpan(rec telemetry.SpanRecord) CriticalPath {
 	}
 
 	// Critical path: every top-level hop plus, inside the replicate
-	// window, only the straggler.
+	// window, every hop of the straggler's leg — its request and reply
+	// transit as well as its serve.
 	for i := range steps {
-		if !steps[i].Child || steps[i].Straggler {
-			steps[i].Critical = true
-		}
+		steps[i].Critical = !steps[i].Child || straggler >= 0 && leg[i] == leg[straggler]
 	}
 
 	// Stable order: by start time, children after parents on ties.
