@@ -333,8 +333,8 @@ func BenchmarkCipherModes(b *testing.B) {
 			}
 		}
 	})
-	// The multi-block AES the xts and eme kernels run between their XOR
-	// passes: eight blocks per pass on AES-NI.
+	// The multi-block AES eme runs between its XOR passes, and the
+	// rounds inside xts's fused pass: eight blocks per pass on AES-NI.
 	b.Run("aes256-ecb-4K", func(b *testing.B) {
 		ecb, err := blockmask.NewAES(key64[:32])
 		if err != nil {
@@ -350,7 +350,8 @@ func BenchmarkCipherModes(b *testing.B) {
 		b.Fatal(err)
 	}
 	// xts-512 is the 512-byte sector of a legacy LUKS volume, where the
-	// per-call tweak encryption and table build amortise worst.
+	// per-call tweak encryption and scratch pool round trip amortise
+	// worst.
 	for _, tc := range []struct {
 		name string
 		n    int

@@ -3,14 +3,15 @@ package blockmask
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 )
 
-// AES is an AES key that encrypts and decrypts whole buffers of blocks,
-// the ECB pass the xts and eme kernels run between their masking
-// passes. On amd64 with AES-NI it runs eight blocks per pass through
-// the rounds (aes_amd64.s) on round keys expanded once here; elsewhere
-// it loops over crypto/aes one block at a time. It is safe for
-// concurrent use.
+// AES is an AES key that encrypts and decrypts whole buffers of blocks:
+// the ECB pass eme runs between its masking passes, and the XTS pass
+// with the masking fused in. On amd64 with AES-NI it runs eight blocks
+// per pass through the rounds (aes_amd64.s) on round keys expanded once
+// here; elsewhere it loops over crypto/aes one block at a time. It is
+// safe for concurrent use.
 type AES struct {
 	// rounds is 10, 12 or 14 on the assembly path and 0 on the generic
 	// one, which loops over block instead.
@@ -61,6 +62,49 @@ func (a *AES) Decrypt(dst, src []byte) {
 	}
 	for i := 0; i < len(src); i += BlockSize {
 		a.block.Decrypt(dst[i:i+BlockSize], src[i:i+BlockSize])
+	}
+}
+
+// EncryptXTS is XTS-AES (IEEE 1619) over the whole blocks of src into
+// dst, under Encrypt's buffer rules: block i is masked with t·xⁱ,
+// encrypted, and masked again. t is the encrypted tweak on entry and
+// is left at the mask that follows the last block, so a data unit split
+// across calls chains. With AES-NI the masking and the doubling run in
+// the assembly's eight-block pass; otherwise the masks are laid out
+// with Fill and applied with subtle.XORBytes around Encrypt.
+func (a *AES) EncryptXTS(dst, src []byte, t *[BlockSize]byte) {
+	if n := checkBlocks(dst, src); n > 0 && a.rounds != 0 {
+		encryptXTS(a.rounds, &a.enc[0], &dst[0], &src[0], n, t)
+		return
+	}
+	xtsGeneric(dst, src, t, a.Encrypt)
+}
+
+// DecryptXTS reverses EncryptXTS under the same rules and the same t.
+func (a *AES) DecryptXTS(dst, src []byte, t *[BlockSize]byte) {
+	if n := checkBlocks(dst, src); n > 0 && a.rounds != 0 {
+		decryptXTS(a.rounds, &a.dec[0], &dst[0], &src[0], n, t)
+		return
+	}
+	xtsGeneric(dst, src, t, a.Decrypt)
+}
+
+// xtsStride is how much of a data unit the generic XTS pass masks per
+// table: 32 blocks, on the stack.
+const xtsStride = 32 * BlockSize
+
+// xtsGeneric is the XTS pass without the assembly, stride by stride:
+// lay out the masks, mask with one XOR pass, run crypt in place, and
+// mask again.
+func xtsGeneric(dst, src []byte, t *[BlockSize]byte, crypt func(dst, src []byte)) {
+	var table [xtsStride]byte
+	for len(src) > 0 {
+		n := min(len(src), xtsStride)
+		Fill(table[:n], t)
+		subtle.XORBytes(dst[:n], src[:n], table[:n])
+		crypt(dst[:n], dst[:n])
+		subtle.XORBytes(dst[:n], dst[:n], table[:n])
+		dst, src = dst[n:], src[n:]
 	}
 }
 

@@ -62,3 +62,16 @@ func encryptBlocks(rounds int, xk *uint32, dst, src *byte, n int)
 //
 //go:noescape
 func decryptBlocks(rounds int, xk *uint32, dst, src *byte, n int)
+
+// encryptXTS is the XTS-AES whole-block pass: each block of src is
+// masked with the tweak at t, encrypted and masked again into dst, and
+// the tweak doubled; t is left at the tweak after the last block. Eight
+// blocks go per pass, then one at a time.
+//
+//go:noescape
+func encryptXTS(rounds int, xk *uint32, dst, src *byte, n int, t *[BlockSize]byte)
+
+// decryptXTS is encryptXTS with AESDEC and the decryption round keys.
+//
+//go:noescape
+func decryptXTS(rounds int, xk *uint32, dst, src *byte, n int, t *[BlockSize]byte)

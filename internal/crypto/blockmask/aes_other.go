@@ -15,3 +15,11 @@ func encryptBlocks(rounds int, xk *uint32, dst, src *byte, n int) {
 func decryptBlocks(rounds int, xk *uint32, dst, src *byte, n int) {
 	panic("blockmask: no AES assembly on this GOARCH")
 }
+
+func encryptXTS(rounds int, xk *uint32, dst, src *byte, n int, t *[BlockSize]byte) {
+	panic("blockmask: no AES assembly on this GOARCH")
+}
+
+func decryptXTS(rounds int, xk *uint32, dst, src *byte, n int, t *[BlockSize]byte) {
+	panic("blockmask: no AES assembly on this GOARCH")
+}

@@ -3,7 +3,8 @@
 // successive doublings laid out block after block so that a whole data
 // unit is masked by one subtle.XORBytes pass, the AES that encrypts or
 // decrypts a whole buffer of blocks between two such passes (eight
-// blocks per pass with AES-NI), and the aliasing rule both packages
+// blocks per pass with AES-NI), the XTS pass that fuses masking and
+// doubling into that AES loop, and the aliasing rule both packages
 // enforce before they start (DESIGN.md, "Cipher kernels").
 package blockmask
 

@@ -27,8 +27,8 @@ func stream(label string, n int) []byte {
 }
 
 // The lengths cross every stride of the AES primitive (eight blocks and
-// a tail), the xts kernel's 4 KiB table and, for xts, the ciphertext
-// stealing tails.
+// a tail), the 4 KiB sector and, for xts, the ciphertext stealing
+// tails.
 var (
 	xtsLengths = []int{16, 32, 48, 112, 128, 144, 256, 496, 512, 4080, 4096, 4112, 8192, 12288, 17, 100, 4097}
 	emeLengths = []int{16, 32, 48, 112, 128, 144, 512, 2048, 4080, 4096, 8176, 8192}

@@ -8,12 +8,13 @@ import (
 	"testing"
 )
 
-// checkKernel holds one (key, tweak, plaintext) to everything the kernel
-// promises: Encrypt equals the per-block reference (or, on a partial
-// tail, the stealing path it must still take); the result is the same in
-// place and out of place (into a dst with no spare capacity); the
-// parent's per-block loop and the kernel's decrypt direction both open
-// it, and both open what the reference sealed.
+// checkKernel holds one (key, tweak, plaintext) to everything the fused
+// whole-block pass promises: Encrypt equals the per-block reference (or,
+// on a partial tail, the stealing path it must still take); the result
+// is the same in place and out of place (into a dst with no spare
+// capacity); the per-block loop and k1.DecryptXTS, the pass Decrypt
+// switches to under ROADMAP item 2(i), both open it, and both open what
+// the reference sealed.
 func checkKernel(t *testing.T, key []byte, tweak [TweakSize]byte, pt []byte) {
 	t.Helper()
 	c, err := NewCipher(key)
@@ -63,32 +64,37 @@ func checkKernel(t *testing.T, key []byte, tweak [TweakSize]byte, pt []byte) {
 	if !bytes.Equal(back, ref) {
 		t.Fatalf("n=%d: per-block loop diverges from reference", n)
 	}
-	c.kernel(back, ref, tweak, c.k1.Decrypt)
+	var et [TweakSize]byte
+	c.k2.Encrypt(et[:], tweak[:])
+	tw := et
+	c.k1.DecryptXTS(back, ref, &tw)
 	if !bytes.Equal(back, pt) {
-		t.Fatalf("n=%d: kernel decrypt direction does not open the reference's ciphertext", n)
+		t.Fatalf("n=%d: DecryptXTS does not open the reference's ciphertext", n)
 	}
-	c.kernel(inplace, inplace, tweak, c.k1.Decrypt)
+	tw = et
+	c.k1.DecryptXTS(inplace, inplace, &tw)
 	if !bytes.Equal(inplace, pt) {
-		t.Fatalf("n=%d: kernel decrypt direction in place", n)
+		t.Fatalf("n=%d: DecryptXTS in place", n)
 	}
 }
 
-// TestKernelVsReference walks every whole-block length up to two strides
-// (4096, 4112 and 8192 cross the table boundary) for both key sizes, and
-// partial tails around the same boundaries.
+// TestKernelVsReference walks every whole-block length up to two 4 KiB
+// sectors for both key sizes, among them 112, 128 and 144 around one
+// eight-block assembly pass, and partial tails around the same
+// boundaries.
 func TestKernelVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, keyLen := range []int{32, 64} {
 		key := make([]byte, keyLen)
 		rng.Read(key)
 		var tweak [TweakSize]byte
-		for n := BlockSize; n <= 2*tableSize; n += BlockSize {
+		for n := BlockSize; n <= 8192; n += BlockSize {
 			rng.Read(tweak[:])
 			pt := make([]byte, n)
 			rng.Read(pt)
 			checkKernel(t, key, tweak, pt)
 		}
-		for _, n := range []int{17, 31, 33, 4095, 4097, 4111, 4113, 8191, 8193} {
+		for _, n := range []int{17, 31, 33, 111, 113, 127, 129, 143, 145, 4095, 4097, 4111, 4113, 8191, 8193} {
 			rng.Read(tweak[:])
 			pt := make([]byte, n)
 			rng.Read(pt)
@@ -99,10 +105,10 @@ func TestKernelVsReference(t *testing.T) {
 
 func FuzzKernelVsReference(f *testing.F) {
 	f.Add(int64(1), false, []byte("sixteen byte blk"))
-	f.Add(int64(2), true, make([]byte, tableSize+BlockSize))
+	f.Add(int64(2), true, make([]byte, 4096+BlockSize))
 	f.Add(int64(3), true, make([]byte, 100))
 	f.Fuzz(func(t *testing.T, seed int64, wide bool, pt []byte) {
-		if len(pt) < BlockSize || len(pt) > 4*tableSize {
+		if len(pt) < BlockSize || len(pt) > 4*4096 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -155,7 +161,7 @@ func TestOverlap(t *testing.T) {
 	}
 }
 
-// The sector path must not allocate in steady state: the tweak table
+// The sector path must not allocate in steady state: the encrypted tweak
 // lives in the pooled scratch.
 func TestEncryptAllocs(t *testing.T) {
 	c, _ := NewCipher(make([]byte, 64))
@@ -167,5 +173,33 @@ func TestEncryptAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("4 KiB Encrypt allocates %v times per call", n)
+	}
+}
+
+// BenchmarkKernel is the fused whole-block pass on a 4 KiB sector in
+// both directions, tweak encryption included: enc-4K is what Encrypt
+// costs, and dec-4K is what Decrypt will cost once it switches over
+// (ROADMAP item 2(i)); BenchmarkCipherModes/xts-4K-dec measures the
+// per-block loop it runs today.
+func BenchmarkKernel(b *testing.B) {
+	c, err := NewCipher(bytes.Repeat([]byte{7}, 64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 4096)
+	tw := new([TweakSize]byte)
+	for _, tc := range []struct {
+		name string
+		op   func(dst, src []byte, t *[TweakSize]byte)
+	}{{"enc-4K", c.k1.EncryptXTS}, {"dec-4K", c.k1.DecryptXTS}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				*tw = SectorTweak(uint64(i))
+				c.k2.Encrypt(tw[:], tw[:])
+				tc.op(buf, buf, tw)
+			}
+		})
 	}
 }

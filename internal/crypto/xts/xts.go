@@ -11,12 +11,16 @@
 // XTS is a narrow-block mode: a plaintext change affects only the 16-byte
 // sub-block that contains it (§2.1's leakage discussion). The eme package
 // provides the wide-block alternative.
+//
+// Encrypt on whole-block data units, which is every sector, encrypts
+// the tweak and hands the rest to blockmask.AES.EncryptXTS, whose
+// AES-NI pass masks, doubles and encrypts eight blocks at a time in
+// registers. Decrypt and ciphertext stealing run the per-block loop.
 package xts
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -44,7 +48,7 @@ var (
 
 // Cipher is an XTS-AES instance. It is safe for concurrent use.
 type Cipher struct {
-	k1  *blockmask.AES // data encryption key, whole strides (kernel)
+	k1  *blockmask.AES // data encryption key, whole data units (EncryptXTS)
 	k1b cipher.Block   // the same key one block at a time (process)
 	k2  cipher.Block   // tweak encryption key
 }
@@ -99,14 +103,19 @@ func mul2(t *[TweakSize]byte) {
 // Encrypt encrypts a data unit src into dst (which may be src itself)
 // under the given tweak. len(dst) must be at least len(src), and
 // len(src) at least one block; ciphertext stealing covers trailing
-// partial blocks. Whole-block data units, which is every sector, take the
-// batched kernel, whose AES runs eight blocks per pass on AES-NI.
+// partial blocks. A whole-block data unit, which is every sector, is
+// one tweak encryption and one k1.EncryptXTS call: with AES-NI, eight
+// blocks per assembly pass with the masking and doubling fused in.
 func (c *Cipher) Encrypt(dst, src []byte, tweak [TweakSize]byte) error {
 	if err := checkArgs(dst, src); err != nil {
 		return err
 	}
 	if len(src)%BlockSize == 0 {
-		c.kernel(dst[:len(src)], src, tweak, c.k1.Encrypt)
+		s := scratchPool.Get().(*scratch)
+		s.tw = tweak
+		c.k2.Encrypt(s.t[:], s.tw[:])
+		c.k1.EncryptXTS(dst[:len(src)], src, &s.t)
+		scratchPool.Put(s)
 		return nil
 	}
 	return c.process(dst, src, tweak, true)
@@ -114,9 +123,9 @@ func (c *Cipher) Encrypt(dst, src []byte, tweak [TweakSize]byte) error {
 
 // Decrypt reverses Encrypt. It stays on the per-block loop, one
 // crypto/aes call per block: a faster open moves the benchmark's
-// virtual-clock percentiles on small reads (ROADMAP, "virtual-clock
-// percentiles depend on host speed"). Moving it onto the kernel is the
-// switch Encrypt makes, with k1.Decrypt.
+// virtual-clock percentiles on small reads (ROADMAP item 2(i)). Moving
+// it over is the switch Encrypt makes, with k1.DecryptXTS, which the
+// tests already hold to this loop.
 func (c *Cipher) Decrypt(dst, src []byte, tweak [TweakSize]byte) error {
 	if err := checkArgs(dst, src); err != nil {
 		return err
@@ -137,38 +146,12 @@ func checkArgs(dst, src []byte) error {
 	return nil
 }
 
-// tableSize is the kernel's stride: longer data units are processed in
-// pieces of this size, continuing the tweak chain across them.
-const tableSize = 4096
-
-// kernel is XTS over whole blocks, batched by stride: build the tweak
-// table T·xⁱ, mask the whole stride with one XOR pass, run AES over it
-// in place, and mask again. crypt is k1.Encrypt or k1.Decrypt; dst and
-// src have equal length, a multiple of BlockSize, and are the same slice
-// or disjoint.
-func (c *Cipher) kernel(dst, src []byte, tweak [TweakSize]byte, crypt func(dst, src []byte)) {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	s.tw = tweak
-	c.k2.Encrypt(s.t[:], s.tw[:])
-	for len(src) > 0 {
-		n := min(len(src), tableSize)
-		table := s.table[:n]
-		blockmask.Fill(table, &s.t)
-		subtle.XORBytes(dst[:n], src[:n], table)
-		crypt(dst[:n], dst[:n])
-		subtle.XORBytes(dst[:n], dst[:n], table)
-		dst, src = dst[n:], src[n:]
-	}
-}
-
 // scratch holds the per-call tweak and block state. It is pooled rather
 // than stack-allocated because the arrays are passed into cipher.Block
 // interface methods, which makes them escape — one heap allocation per
 // sector — and the sector path must be allocation-free in steady state.
 type scratch struct {
 	tw, t, t2, x, tail, pp, cc [BlockSize]byte
-	table                      [tableSize]byte // kernel's tweak table
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

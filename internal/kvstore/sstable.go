@@ -296,19 +296,27 @@ func (t *table) blockFor(key []byte) int {
 	return ans
 }
 
-// readBlock fetches and decodes one data block from media.
+// readBlock fetches and decodes one data block from media. The block's
+// extent and its entry count come from media, so each is checked
+// against the bytes it describes before it sizes an allocation.
 func (t *table) readBlock(c *cursor, i int) ([]memEntry, error) {
 	bm := t.index[i]
+	if bm.length < 4 {
+		return nil, fmt.Errorf("%w: short block", ErrCorrupt)
+	}
+	if bm.off < 0 || bm.off+int64(bm.length) > t.segLen {
+		return nil, fmt.Errorf("%w: block %d outside its table", ErrCorrupt, i)
+	}
 	raw := make([]byte, bm.length)
 	end, err := t.file.ReadAt(c.at, raw, t.segOff+bm.off)
 	if err != nil {
 		return nil, err
 	}
 	c.advance(end)
-	if len(raw) < 4 {
-		return nil, fmt.Errorf("%w: short block", ErrCorrupt)
-	}
 	count := int(binary.LittleEndian.Uint32(raw[:4]))
+	if count > (len(raw)-4)/entryHeaderSize {
+		return nil, fmt.Errorf("%w: block %d claims %d entries in %d bytes", ErrCorrupt, i, count, len(raw))
+	}
 	entries := make([]memEntry, 0, count)
 	p := 4
 	for j := 0; j < count; j++ {

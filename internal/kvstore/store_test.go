@@ -2,10 +2,12 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -349,6 +351,75 @@ func TestOpenCorruptSuperblockIsLoud(t *testing.T) {
 	apply1(t, s3, "fresh", "1")
 	if v, ok := get(t, mustOpen(t, zero, cfg), "fresh"); !ok || v != "1" {
 		t.Fatalf("all-zero file: fresh = %q,%v after format and reopen", v, ok)
+	}
+}
+
+// TestCorruptBlockSizesAreLoud plants the two sizes readBlock takes from
+// media in a flushed store: one block's entry count and another block's
+// length in the table index. Each read must be ErrCorrupt, without a
+// panic and without an allocation sized by the planted value.
+func TestCorruptBlockSizesAreLoud(t *testing.T) {
+	f := newTestFile(t, 16)
+	cfg := smallConfig()
+	s := mustOpen(t, f, cfg)
+	for i := 0; i < 2000; i++ {
+		apply1(t, s, fmt.Sprintf("k%05d", i), fmt.Sprintf("value-%05d", i))
+	}
+	if _, err := s.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	var tbl *table
+	for _, level := range s.levels {
+		for _, lt := range level {
+			if tbl == nil || len(lt.index) > len(tbl.index) {
+				tbl = lt
+			}
+		}
+	}
+	if tbl == nil || len(tbl.index) < 2 {
+		t.Fatal("want a flushed table of at least two blocks")
+	}
+	write := func(v uint32, off int64) {
+		t.Helper()
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], v)
+		if _, err := f.WriteAt(0, b[:], tbl.segOff+off); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Block 0's entry count: a million entries in a block of a few KiB.
+	write(1<<20, tbl.index[0].off)
+	// Block 1's length in the index: 64 MiB, past the table and the file.
+	foot := make([]byte, footerSize)
+	if _, err := f.ReadAt(0, foot, tbl.segOff+tbl.segLen-footerSize); err != nil {
+		t.Fatal(err)
+	}
+	idx := make([]byte, binary.LittleEndian.Uint32(foot[16:20]))
+	indexOff := int64(binary.LittleEndian.Uint64(foot[8:16]))
+	if _, err := f.ReadAt(0, idx, tbl.segOff+indexOff); err != nil {
+		t.Fatal(err)
+	}
+	p := 0
+	for range 2 { // minKey, maxKey
+		p += 2 + int(binary.LittleEndian.Uint16(idx[p:]))
+	}
+	p += 4                                                // block count
+	p += 14 + int(binary.LittleEndian.Uint16(idx[p+12:])) // block 0's meta and first key
+	write(1<<26, indexOff+int64(p)+8)
+
+	s2 := mustOpen(t, f, cfg)
+	for i, key := range [][]byte{tbl.index[0].firstKey, tbl.index[1].firstKey} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := s2.Get(0, key)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("block %d (%s): Get err = %v, want ErrCorrupt", i, key, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("block %d (%s): Get allocated %d bytes", i, key, n)
+		}
 	}
 }
 
