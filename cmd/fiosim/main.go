@@ -139,7 +139,7 @@ func main() {
 	// one after, so the rules evaluate over exactly the run window.
 	var mon *health.Monitor
 	if *healthFlag {
-		mon = health.NewMonitor(telemetry.Default, 0, nil)
+		mon = health.NewMonitor(telemetry.Default)
 		mon.Observe(now)
 	}
 

@@ -114,7 +114,7 @@ func top(img *repro.EncryptedImage) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mon := repro.NewHealthMonitor(0)
+	mon := repro.NewHealthMonitor()
 	mon.Observe(now)
 
 	for frame := 1; frame <= 5; frame++ {
@@ -186,7 +186,7 @@ func healthDemo(cluster *repro.Cluster, img *repro.EncryptedImage) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mon := repro.NewHealthMonitor(0)
+	mon := repro.NewHealthMonitor()
 	mon.Observe(now)
 
 	fmt.Println("arming fault plan: drop-reply 5%, delay-reply 8% (30ms), conn-reset 3%")

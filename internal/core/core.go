@@ -103,7 +103,7 @@ type EncryptedImage struct {
 	proto   cryptor // scheme-static metaLen/randLen probe (zero key)
 	ring    *keyring
 	plan    planner
-	cpu     *vtime.MultiResource
+	cpu     *vtime.Resource
 	workers int // datapath parallelism (SetParallelism)
 
 	// Key lifecycle: the unlocked container and master key stay resident
@@ -232,7 +232,7 @@ func Load(at vtime.Time, img *rbd.Image, passphrase []byte) (*EncryptedImage, vt
 			objectSize: img.ObjectSize(),
 			trackAlloc: storedMeta == 0,
 		},
-		cpu:     vtime.NewMultiResource(img.Name()+"/crypto", modelCores),
+		cpu:     vtime.NewPool(img.Name()+"/crypto", modelCores),
 		workers: maxParallelism(),
 		alloc:   make(map[int64]*objAlloc),
 		met:     newImageMetrics(scheme, lay),

@@ -1,14 +1,12 @@
 // Package kdf provides the key-derivation primitives the LUKS2-style
-// container needs: PBKDF2-HMAC-SHA256 (RFC 2898) for passphrase
-// stretching and a LUKS-style anti-forensic splitter that inflates key
-// material across many diffused stripes so partial disk remanence cannot
-// recover a revoked key.
-//
-// Only the Go standard library is used (crypto/hmac, crypto/sha256).
+// container needs: PBKDF2-HMAC-SHA256 (RFC 2898, the standard library's
+// crypto/pbkdf2) for passphrase stretching and a LUKS-style
+// anti-forensic splitter that inflates key material across many diffused
+// stripes so partial disk remanence cannot recover a revoked key.
 package kdf
 
 import (
-	"crypto/hmac"
+	"crypto/pbkdf2"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
@@ -16,35 +14,16 @@ import (
 	"fmt"
 )
 
-// PBKDF2 derives keyLen bytes from the password and salt using
-// HMAC-SHA256 with the given iteration count.
-func PBKDF2(password, salt []byte, iter, keyLen int) []byte {
-	if iter < 1 || keyLen < 1 {
-		panic("kdf: iterations and key length must be positive")
+// PBKDF2 derives keyLen bytes from secret and salt with PBKDF2-HMAC-SHA256.
+// An iteration count below one is an error: crypto/pbkdf2 would run one
+// round.
+func PBKDF2(secret, salt []byte, iter, keyLen int) ([]byte, error) {
+	if iter < 1 {
+		return nil, fmt.Errorf("kdf: %d PBKDF2 iterations", iter)
 	}
-	hashLen := sha256.Size
-	numBlocks := (keyLen + hashLen - 1) / hashLen
-	out := make([]byte, 0, numBlocks*hashLen)
-
-	var block [4]byte
-	for i := 1; i <= numBlocks; i++ {
-		binary.BigEndian.PutUint32(block[:], uint32(i))
-		mac := hmac.New(sha256.New, password)
-		mac.Write(salt)
-		mac.Write(block[:])
-		u := mac.Sum(nil)
-		t := append([]byte(nil), u...)
-		for n := 1; n < iter; n++ {
-			mac = hmac.New(sha256.New, password)
-			mac.Write(u)
-			u = mac.Sum(nil)
-			for x := range t {
-				t[x] ^= u[x]
-			}
-		}
-		out = append(out, t...)
-	}
-	return out[:keyLen]
+	// string(secret) makes a copy of the key material that cannot be
+	// cleared. The HMAC pads derived from it cannot be cleared either.
+	return pbkdf2.Key(sha256.New, string(secret), salt, iter, keyLen)
 }
 
 // diffuse applies the LUKS AF hash diffusion to a buffer: each SHA-256

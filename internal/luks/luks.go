@@ -104,14 +104,28 @@ func randBytes(n int) ([]byte, error) {
 	return b, nil
 }
 
+// deriveKey is kdf.PBKDF2, every derivation the container makes. Slot
+// and digest iteration counts come from the container, so a count below
+// one is ErrCorrupt, not a single round.
+func deriveKey(secret, salt []byte, iter, keyLen int) ([]byte, error) {
+	key, err := kdf.PBKDF2(secret, salt, iter, keyLen)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return key, nil
+}
+
 // slotCipher builds the XTS cipher protecting a keyslot area.
 func slotCipher(passphrase, salt []byte, iter int) (*xts.Cipher, error) {
-	key := kdf.PBKDF2(passphrase, salt, iter, 64)
+	key, err := deriveKey(passphrase, salt, iter, 64)
+	if err != nil {
+		return nil, err
+	}
 	return xts.NewCipher(key)
 }
 
-func digestOf(masterKey, salt []byte, iter int) []byte {
-	return kdf.PBKDF2(masterKey, salt, iter, 32)
+func digestOf(masterKey, salt []byte, iter int) ([]byte, error) {
+	return deriveKey(masterKey, salt, iter, 32)
 }
 
 // Format creates a container with a fresh random master key bound to the
@@ -133,13 +147,17 @@ func Format(passphrase []byte, cipherName string) (*Container, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	digest, err := digestOf(masterKey, dsalt, DefaultIterations)
+	if err != nil {
+		return nil, nil, err
+	}
 	c := &Container{
 		MagicField: Magic,
 		UUID:       fmt.Sprintf("%x", uuid),
 		Cipher:     cipherName,
 		DigestSalt: dsalt,
 		DigestIter: DefaultIterations,
-		Digest:     digestOf(masterKey, dsalt, DefaultIterations),
+		Digest:     digest,
 		Slots:      make([]Keyslot, MaxSlots),
 		WrapSalt:   wsalt,
 	}
@@ -156,11 +174,15 @@ func Format(passphrase []byte, cipherName string) (*Container, []byte, error) {
 
 // kek derives the epoch-wrapping key-encryption key from the master key.
 func (c *Container) kek(masterKey []byte) (*xts.Cipher, error) {
-	return xts.NewCipher(kdf.PBKDF2(masterKey, c.WrapSalt, WrapIterations, 64))
+	kek, err := deriveKey(masterKey, c.WrapSalt, WrapIterations, 64)
+	if err != nil {
+		return nil, err
+	}
+	return xts.NewCipher(kek)
 }
 
-func epochCheck(c *Container, key []byte) []byte {
-	return kdf.PBKDF2(key, c.WrapSalt, WrapIterations, 16)
+func epochCheck(c *Container, key []byte) ([]byte, error) {
+	return deriveKey(key, c.WrapSalt, WrapIterations, 16)
 }
 
 func (c *Container) findEpoch(epoch uint32) *KeyEpoch {
@@ -207,7 +229,11 @@ func (c *Container) AddEpoch(masterKey []byte) (uint32, error) {
 	if err := ci.Encrypt(wrapped, key, xts.SectorTweak(uint64(next))); err != nil {
 		return 0, err
 	}
-	c.Epochs = append(c.Epochs, KeyEpoch{Epoch: next, Wrapped: wrapped, Check: epochCheck(c, key)})
+	check, err := epochCheck(c, key)
+	if err != nil {
+		return 0, err
+	}
+	c.Epochs = append(c.Epochs, KeyEpoch{Epoch: next, Wrapped: wrapped, Check: check})
 	c.Current = next
 	return next, nil
 }
@@ -245,7 +271,11 @@ func (c *Container) EpochKey(masterKey []byte, epoch uint32) ([]byte, error) {
 	if err := ci.Decrypt(key, e.Wrapped, xts.SectorTweak(uint64(epoch))); err != nil {
 		return nil, err
 	}
-	if subtle.ConstantTimeCompare(epochCheck(c, key), e.Check) != 1 {
+	check, err := epochCheck(c, key)
+	if err != nil {
+		return nil, err
+	}
+	if subtle.ConstantTimeCompare(check, e.Check) != 1 {
 		return nil, fmt.Errorf("%w: epoch %d check failed", ErrCorrupt, epoch)
 	}
 	return key, nil
@@ -338,7 +368,11 @@ func (c *Container) Unlock(passphrase []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if subtle.ConstantTimeCompare(digestOf(mk, c.DigestSalt, c.DigestIter), c.Digest) == 1 {
+		digest, err := digestOf(mk, c.DigestSalt, c.DigestIter)
+		if err != nil {
+			return nil, err
+		}
+		if subtle.ConstantTimeCompare(digest, c.Digest) == 1 {
 			return mk, nil
 		}
 	}

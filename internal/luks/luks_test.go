@@ -117,6 +117,26 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
+// An iteration count below one comes only from a corrupt container: it
+// is ErrCorrupt, never a one-round derivation.
+func TestNonPositiveIterationsAreCorrupt(t *testing.T) {
+	if _, err := deriveKey([]byte("p"), []byte("s"), 0, 32); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("0 iterations: %v", err)
+	}
+	c, _, err := Format([]byte("pass"), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.DigestIter = -1
+	if _, err := c.Unlock([]byte("pass")); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("digest iterations -1: %v", err)
+	}
+	c.DigestIter, c.Slots[0].Iterations = DefaultIterations, 0
+	if _, err := c.Unlock([]byte("pass")); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("slot iterations 0: %v", err)
+	}
+}
+
 func TestHeaderTamperDetected(t *testing.T) {
 	c, _, err := Format([]byte("pass"), "x")
 	if err != nil {

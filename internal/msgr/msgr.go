@@ -119,8 +119,8 @@ type LinkCost struct {
 	// StreamPerByte is the per-byte cost of this connection's stream
 	// (13 Gb/s in the paper's measurement).
 	StreamPerByte float64
-	// NIC, when non-nil, is the shared endpoint resource all streams of
-	// one host contend on.
+	// NIC is the shared endpoint resource all streams of one host
+	// contend on; a nil NIC is free.
 	NIC *vtime.Resource
 	// NICPerByte is the per-byte cost on the shared NIC (100 Gb/s links).
 	NICPerByte float64
@@ -141,9 +141,7 @@ func DefaultLinkCost(nic *vtime.Resource) LinkCost {
 // time.
 func (lc LinkCost) transmit(at vtime.Time, stream *vtime.Resource, n int) vtime.Time {
 	end := stream.Use(at, vtime.Duration(float64(n)*lc.StreamPerByte))
-	if lc.NIC != nil {
-		end = lc.NIC.Use(end, vtime.Duration(float64(n)*lc.NICPerByte))
-	}
+	end = lc.NIC.Use(end, vtime.Duration(float64(n)*lc.NICPerByte))
 	return end.Add(lc.Latency)
 }
 

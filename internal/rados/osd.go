@@ -41,7 +41,7 @@ type OSD struct {
 	id     int
 	cmap   *ClusterMap
 	stores []*blobstore.Store
-	cpu    *vtime.MultiResource
+	cpu    *vtime.Resource
 	cost   OSDCost
 	srv    *msgr.InProcServer
 	met    *osdMetrics
@@ -102,7 +102,7 @@ func NewOSD(at vtime.Time, id int, cmap *ClusterMap, disks []*simdisk.Disk, blob
 	o := &OSD{
 		id:       id,
 		cmap:     cmap,
-		cpu:      vtime.NewMultiResource(fmt.Sprintf("osd%d/cpu", id), cost.Cores),
+		cpu:      vtime.NewPool(fmt.Sprintf("osd%d/cpu", id), cost.Cores),
 		cost:     cost,
 		met:      newOSDMetrics(id),
 		peers:    make(map[int]msgr.Conn),

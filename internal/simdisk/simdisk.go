@@ -104,7 +104,7 @@ type Disk struct {
 	name    string
 	sectors int64
 	cost    CostModel
-	res     *vtime.MultiResource
+	res     *vtime.Resource
 
 	mu     sync.RWMutex
 	chunks map[int64][]byte // chunk index -> chunkSectors*SectorSize bytes
@@ -163,7 +163,7 @@ func New(name string, sectors int64, cost CostModel) *Disk {
 		name:    name,
 		sectors: sectors,
 		cost:    cost,
-		res:     vtime.NewMultiResource(name, ch),
+		res:     vtime.NewPool(name, ch),
 		chunks:  make(map[int64][]byte),
 	}
 	d.ephemeralFrom.Store(sectors)

@@ -50,7 +50,7 @@ func TestHealthChaosRedGreen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mon := repro.NewHealthMonitor(0)
+	mon := repro.NewHealthMonitor()
 	v := fio.NewVerifier(img, healthBS)
 	v.Tolerate = func(err error) bool { return errors.Is(err, fault.ErrInjected) }
 

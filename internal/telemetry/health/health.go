@@ -2,10 +2,10 @@
 // over the history ring's windowed queries, producing one verdict per
 // rule plus an overall cluster status. Rules are data, not code — a
 // rule names a metric family, a window, a threshold and a severity, and
-// the engine computes the rest — so the default rule set (foreground
-// p99 ceiling, client-error and fault-injection rates, scrub findings
-// outstanding, pacer debt growth, OSD silence) is just a slice literal
-// the caller can replace or extend.
+// the engine computes the rest — so the rule set (foreground p99
+// ceiling, client-error and fault-injection rates, scrub findings
+// outstanding, pacer debt growth, OSD silence, datapath and wire
+// backpressure) is one slice literal, DefaultRules, over one window.
 //
 // Evaluation is a monitoring-path operation, not a datapath one: it
 // walks the history under its lock and formats verdict details, so it
@@ -56,9 +56,6 @@ const (
 	// RateAbove fires when the family's summed per-virtual-second rate
 	// over the window exceeds Threshold.
 	RateAbove RuleKind = iota
-	// DeltaAbove fires when the family's summed windowed delta exceeds
-	// Threshold.
-	DeltaAbove
 	// QuantileAbove fires when the q-quantile of the family's
 	// observations inside the window (histogram-delta, merged across
 	// series) exceeds Threshold virtual nanoseconds.
@@ -87,7 +84,7 @@ type Rule struct {
 	Baseline  string         // second family: OutstandingAbove subtrahend, SilentWhile activity witness
 	Q         float64        // quantile for QuantileAbove
 	Window    vtime.Duration // query window for windowed kinds
-	Threshold float64        // rate: per virtual second; quantile/gauge: value units; delta: count
+	Threshold float64        // rate: per virtual second; quantile/gauge: value units; silence: series count
 	Severity  Status         // status contributed when firing
 }
 
@@ -151,15 +148,15 @@ var (
 	mEvals  = telemetry.NewCounter("health_evals_total", "health rule evaluations")
 )
 
-// Engine evaluates a rule set over a history ring.
+// Engine evaluates DefaultRules over a history ring.
 type Engine struct {
 	hist  *history.History
 	rules []Rule
 }
 
-// NewEngine builds an engine over h with the given rules.
-func NewEngine(h *history.History, rules []Rule) *Engine {
-	return &Engine{hist: h, rules: rules}
+// NewEngine builds an engine over h.
+func NewEngine(h *history.History) *Engine {
+	return &Engine{hist: h, rules: DefaultRules()}
 }
 
 // Eval evaluates every rule against the history as of at.
@@ -185,9 +182,6 @@ func (e *Engine) eval(r Rule) Verdict {
 	case RateAbove:
 		v.Value = h.RateSum(r.Family, r.Window)
 		v.Detail = fmt.Sprintf("%s/s over %v", r.Family, r.Window)
-	case DeltaAbove:
-		v.Value = float64(h.DeltaSum(r.Family, r.Window))
-		v.Detail = fmt.Sprintf("Δ%s over %v", r.Family, r.Window)
 	case QuantileAbove:
 		v.Value = float64(h.QuantileOver(r.Family, r.Q, r.Window))
 		v.Detail = fmt.Sprintf("p%g(%s) over %v", r.Q*100, r.Family, r.Window)
@@ -224,17 +218,14 @@ func (e *Engine) eval(r Rule) Verdict {
 	return v
 }
 
-// DefaultWindow is the query window the default rule set evaluates
-// over: 100 ms of virtual time, a few thousand ops at the paper's
-// simulated service times.
+// DefaultWindow is the query window the rule set evaluates over:
+// 100 ms of virtual time, a few thousand ops at the paper's simulated
+// service times.
 const DefaultWindow = vtime.Duration(100 * 1e6)
 
-// DefaultRules is the stock cluster rule set over window w
-// (DefaultWindow when w <= 0).
-func DefaultRules(w vtime.Duration) []Rule {
-	if w <= 0 {
-		w = DefaultWindow
-	}
+// DefaultRules is the cluster rule set every Engine evaluates.
+func DefaultRules() []Rule {
+	const w = DefaultWindow
 	return []Rule{
 		// Foreground latency: p99 of the fio op histogram inside the
 		// window must stay under 20 ms virtual.
@@ -284,14 +275,11 @@ type Monitor struct {
 	eng  *Engine
 }
 
-// NewMonitor builds a monitor over reg with the given ring capacity and
-// rules (DefaultRules(0) when rules is nil).
-func NewMonitor(reg *telemetry.Registry, slots int, rules []Rule) *Monitor {
-	if rules == nil {
-		rules = DefaultRules(0)
-	}
-	h := history.New(reg, slots)
-	return &Monitor{hist: h, eng: NewEngine(h, rules)}
+// NewMonitor builds a monitor over reg with a history ring of
+// history.DefaultSlots.
+func NewMonitor(reg *telemetry.Registry) *Monitor {
+	h := history.New(reg, history.DefaultSlots)
+	return &Monitor{hist: h, eng: NewEngine(h)}
 }
 
 // Observe picks up newly registered series and records one snapshot at

@@ -48,7 +48,7 @@ func newRuleSet() *ruleSet {
 	sv := reg.NewHistogramVec("osd_serve_vtime", "test", "osd")
 	s.serve0, s.serve1 = sv.With("0"), sv.With("1")
 	s.hist = history.New(reg, 8)
-	s.eng = NewEngine(s.hist, DefaultRules(0))
+	s.eng = NewEngine(s.hist)
 	return s
 }
 
@@ -179,7 +179,7 @@ func TestReportRendering(t *testing.T) {
 func TestMonitor(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	errs := reg.NewCounter("client_errors_total", "test")
-	m := NewMonitor(reg, 0, nil)
+	m := NewMonitor(reg)
 	before := mEvals.Value()
 	m.Observe(0)
 	errs.Add(5)

@@ -174,9 +174,6 @@ func (h *History) Record(at vtime.Time) {
 	mRecords.Inc()
 }
 
-// Registry returns the registry this history snapshots.
-func (h *History) Registry() *telemetry.Registry { return h.reg }
-
 // Samples returns how many snapshots the newest-refreshed series have
 // accumulated (0 when nothing is tracked).
 func (h *History) Samples() int64 {

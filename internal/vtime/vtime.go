@@ -2,13 +2,15 @@
 // hardware resources (disks, NICs, CPUs, databases).
 //
 // The model is deliberately simple — "busy-until" bookkeeping — rather than
-// a full discrete-event simulator: an operation arriving at virtual time t
-// at a resource with service duration d starts at max(t, busyUntil), and the
-// resource's busyUntil advances to start+d. Over many operations this
-// conserves resource capacity exactly (total busy time equals the sum of
-// service times), which is the property bandwidth measurements depend on.
-// Virtual timestamps travel with each request through the storage stack; an
-// operation's completion time is the maximum over its dependency chain.
+// a full discrete-event simulator. A Resource is a pool of one or more
+// identical servers, each with its own busy-until watermark. An operation
+// arriving at virtual time t with service duration d takes the server that
+// frees up first, starts at max(t, busyUntil) and advances that server's
+// busyUntil to start+d. Over many operations this conserves resource
+// capacity exactly (total busy time equals the sum of service times), which
+// is the property bandwidth measurements depend on. Virtual timestamps
+// travel with each request through the storage stack; an operation's
+// completion time is the maximum over its dependency chain.
 package vtime
 
 import (
@@ -73,22 +75,34 @@ func Join(at Time, n int, fn func(i int) (Time, error)) (Time, error) {
 	return end, nil
 }
 
-// Resource models a single-server resource processing work in FCFS order.
-// A nil *Resource is valid and free: every Use completes instantly at its
-// arrival time, so real (non-simulated) deployments can pass nil resources
-// throughout the stack.
+// Resource models a pool of identical servers processing work in FCFS
+// order: one disk queue, the channels of an NVMe device, a NIC, a set of
+// CPU cores. Work arriving at time t goes to the server that frees up
+// first (the lowest index on a tie) and starts at the later of t and that
+// server's busy-until. A nil *Resource is valid and free: every Use
+// completes instantly at its arrival time, so real (non-simulated)
+// deployments can pass nil resources throughout the stack.
 type Resource struct {
 	name string
 
 	mu        sync.Mutex
-	busyUntil Time
+	busyUntil []Time // one watermark per server
 	busyTotal Duration
 	ops       int64
 }
 
 // NewResource returns a named single-server resource.
 func NewResource(name string) *Resource {
-	return &Resource{name: name}
+	return NewPool(name, 1)
+}
+
+// NewPool returns a named resource with n identical servers. n must be
+// at least 1.
+func NewPool(name string, n int) *Resource {
+	if n < 1 {
+		panic("vtime: a resource needs at least one server")
+	}
+	return &Resource{name: name, busyUntil: make([]Time, n)}
 }
 
 // Name returns the resource's name, or "<free>" for a nil resource.
@@ -99,8 +113,9 @@ func (r *Resource) Name() string {
 	return r.name
 }
 
-// Use schedules work of duration d arriving at time at, and returns its
-// completion time. For a nil receiver it returns at unchanged.
+// Use schedules work of duration d arriving at time at on the server that
+// frees up first, and returns its completion time. For a nil receiver it
+// returns at unchanged.
 func (r *Resource) Use(at Time, d Duration) Time {
 	if r == nil {
 		return at
@@ -109,26 +124,34 @@ func (r *Resource) Use(at Time, d Duration) Time {
 		d = 0
 	}
 	r.mu.Lock()
-	start := Max(at, r.busyUntil)
+	best := 0
+	for i := 1; i < len(r.busyUntil); i++ {
+		if r.busyUntil[i] < r.busyUntil[best] {
+			best = i
+		}
+	}
+	start := Max(at, r.busyUntil[best])
 	end := start.Add(d)
-	r.busyUntil = end
+	r.busyUntil[best] = end
 	r.busyTotal += d
 	r.ops++
 	r.mu.Unlock()
 	return end
 }
 
-// BusyUntil reports the time at which the resource becomes idle.
+// BusyUntil reports the last busy instant: the time at which every server
+// is idle.
 func (r *Resource) BusyUntil() Time {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.busyUntil
+	return MaxAll(r.busyUntil...)
 }
 
-// Stats reports the number of operations served and the total busy time.
+// Stats reports the number of operations served and the total busy time
+// summed over all servers.
 func (r *Resource) Stats() (ops int64, busy Duration) {
 	if r == nil {
 		return 0, 0
@@ -138,14 +161,15 @@ func (r *Resource) Stats() (ops int64, busy Duration) {
 	return r.ops, r.busyTotal
 }
 
-// Reset clears accumulated statistics and makes the resource idle from
+// Reset clears accumulated statistics and makes every server idle from
 // time 0. Resets are used between benchmark sweeps.
 func (r *Resource) Reset() {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.busyUntil, r.busyTotal, r.ops = 0, 0, 0
+	clear(r.busyUntil)
+	r.busyTotal, r.ops = 0, 0
 	r.mu.Unlock()
 }
 
@@ -156,77 +180,6 @@ func (r *Resource) String() string {
 	}
 	ops, busy := r.Stats()
 	return fmt.Sprintf("%s{ops=%d busy=%v}", r.name, ops, busy)
-}
-
-// MultiResource models a pool of identical servers (for example the lanes
-// of a NIC or the channels of an NVMe device). Work arriving at time t is
-// assigned to the server that can start it earliest. A nil *MultiResource
-// is valid and free.
-type MultiResource struct {
-	name string
-
-	mu        sync.Mutex
-	busyUntil []Time
-	busyTotal Duration
-	ops       int64
-}
-
-// NewMultiResource returns a resource pool with n identical servers.
-// n must be at least 1.
-func NewMultiResource(name string, n int) *MultiResource {
-	if n < 1 {
-		panic("vtime: MultiResource needs at least one server")
-	}
-	return &MultiResource{name: name, busyUntil: make([]Time, n)}
-}
-
-// Use schedules work of duration d arriving at time at on the least-loaded
-// server and returns its completion time.
-func (m *MultiResource) Use(at Time, d Duration) Time {
-	if m == nil {
-		return at
-	}
-	if d < 0 {
-		d = 0
-	}
-	m.mu.Lock()
-	best := 0
-	for i := 1; i < len(m.busyUntil); i++ {
-		if m.busyUntil[i] < m.busyUntil[best] {
-			best = i
-		}
-	}
-	start := Max(at, m.busyUntil[best])
-	end := start.Add(d)
-	m.busyUntil[best] = end
-	m.busyTotal += d
-	m.ops++
-	m.mu.Unlock()
-	return end
-}
-
-// Stats reports the number of operations served and the total busy time
-// summed over all servers.
-func (m *MultiResource) Stats() (ops int64, busy Duration) {
-	if m == nil {
-		return 0, 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ops, m.busyTotal
-}
-
-// Reset clears statistics and idles every server from time 0.
-func (m *MultiResource) Reset() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	for i := range m.busyUntil {
-		m.busyUntil[i] = 0
-	}
-	m.busyTotal, m.ops = 0, 0
-	m.mu.Unlock()
 }
 
 // LinearCost describes a service time of the form Fixed + PerByte*bytes.

@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -80,8 +81,8 @@ func TestResourceCapacityConservation(t *testing.T) {
 	}
 }
 
-func TestMultiResourceParallelism(t *testing.T) {
-	m := NewMultiResource("nic", 4)
+func TestPoolServersRunInParallel(t *testing.T) {
+	m := NewPool("nic", 4)
 	// Four ops at time 0 run in parallel.
 	for i := 0; i < 4; i++ {
 		if end := m.Use(0, 10); end != 10 {
@@ -92,23 +93,105 @@ func TestMultiResourceParallelism(t *testing.T) {
 	if end := m.Use(0, 10); end != 20 {
 		t.Fatalf("fifth op end = %d want 20", end)
 	}
+	if m.BusyUntil() != 20 {
+		t.Fatalf("busyUntil = %d want 20 (the last busy instant)", m.BusyUntil())
+	}
 }
 
+// A pool an unsimulated layer leaves out is the same nil *Resource as a
+// single server: free, never busy, and printed as free.
 func TestMultiResourceNil(t *testing.T) {
-	var m *MultiResource
+	var m *Resource
 	if end := m.Use(5, time.Minute); end != 5 {
-		t.Fatal("nil multi-resource should be free")
+		t.Fatal("nil pool should be free")
+	}
+	if m.BusyUntil() != 0 || m.String() != "<free>" {
+		t.Fatalf("nil pool busyUntil=%d string=%q", m.BusyUntil(), m.String())
 	}
 	m.Reset()
 }
 
-func TestMultiResourcePanicsOnZeroServers(t *testing.T) {
+func TestNewPoolPanicsOnZeroServers(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMultiResource("bad", 0)
+	NewPool("bad", 0)
+}
+
+// refUse1 and refUseN are the two Use bodies from when one server and n
+// servers were separate types, without the lock. busyUntil holds one
+// watermark per server.
+func refUse1(busyUntil []Time, at Time, d Duration) Time {
+	if d < 0 {
+		d = 0
+	}
+	start := Max(at, busyUntil[0])
+	busyUntil[0] = start.Add(d)
+	return busyUntil[0]
+}
+
+func refUseN(busyUntil []Time, at Time, d Duration) Time {
+	if d < 0 {
+		d = 0
+	}
+	best := 0
+	for i := 1; i < len(busyUntil); i++ {
+		if busyUntil[i] < busyUntil[best] {
+			best = i
+		}
+	}
+	start := Max(at, busyUntil[best])
+	busyUntil[best] = start.Add(d)
+	return busyUntil[best]
+}
+
+// TestResourceMatchesReference feeds random arrival sequences, in time
+// order and out of it, to resources of 1–8 servers and requires every
+// op's completion time, Stats and BusyUntil to equal the reference's to
+// the nanosecond.
+func TestResourceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 400; trial++ {
+		servers := 1 + trial%8
+		inOrder := trial/8%2 == 0
+		r := NewPool("ref", servers)
+		use := refUseN
+		if servers == 1 {
+			use = refUse1
+		}
+		ref := make([]Time, servers)
+		var ops int64
+		var busy Duration
+		var at Time
+		for op := 0; op < 200; op++ {
+			if op == 100 && trial%3 == 0 {
+				r.Reset()
+				clear(ref)
+				ops, busy = 0, 0
+			}
+			if inOrder {
+				at += Time(rng.Intn(400))
+			} else {
+				at = Time(rng.Intn(20000))
+			}
+			d := Duration(rng.Intn(1100) - 100) // some zero, some negative
+			want := use(ref, at, d)
+			ops, busy = ops+1, busy+max(d, 0)
+			if got := r.Use(at, d); got != want {
+				t.Fatalf("trial %d (%d servers) op %d: Use(%d, %d) = %d, reference %d",
+					trial, servers, op, at, d, got, want)
+			}
+			if gotOps, gotBusy := r.Stats(); gotOps != ops || gotBusy != busy {
+				t.Fatalf("trial %d op %d: Stats = %d,%v, reference %d,%v",
+					trial, op, gotOps, gotBusy, ops, busy)
+			}
+			if got, want := r.BusyUntil(), MaxAll(ref...); got != want {
+				t.Fatalf("trial %d op %d: BusyUntil = %d, reference %d", trial, op, got, want)
+			}
+		}
+	}
 }
 
 func TestJoin(t *testing.T) {

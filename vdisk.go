@@ -125,8 +125,6 @@ type (
 	// HealthReport is one health evaluation: per-rule verdicts plus the
 	// overall status.
 	HealthReport = health.Report
-	// HealthRule is one declarative SLO rule over history windows.
-	HealthRule = health.Rule
 )
 
 // Schemes and layouts.
@@ -327,14 +325,14 @@ func Events() []Event { return telemetry.Log.Events() }
 // healthMon is the process-wide health monitor behind Health(), built
 // on first use so programs that never ask for health pay nothing.
 var healthMon = sync.OnceValue(func() *HealthMonitor {
-	return health.NewMonitor(telemetry.Default, 0, nil)
+	return health.NewMonitor(telemetry.Default)
 })
 
 // NewHealthMonitor builds a private monitor over the default registry
-// with the default SLO rule set — for callers that want their own
-// observation cadence (slots <= 0 uses the default ring size).
-func NewHealthMonitor(slots int) *HealthMonitor {
-	return health.NewMonitor(telemetry.Default, slots, nil)
+// with the SLO rule set — for callers that want their own observation
+// cadence.
+func NewHealthMonitor() *HealthMonitor {
+	return health.NewMonitor(telemetry.Default)
 }
 
 // Observe snapshots every registered metric into the process-wide
