@@ -6,12 +6,20 @@ import "repro/internal/simdisk"
 // sector number. It stands in for the OSD page cache: the sectors that
 // matter are the hot metadata sectors (IV tails, unaligned boundaries)
 // that sub-sector writes keep touching.
+//
+// groups counts the cached sectors of every 64-sector group that holds
+// any, so invalidate skips the groups of a bulk span that hold none
+// without probing their sectors one by one.
 type sectorCache struct {
-	cap   int
-	items map[int64]*cacheNode
-	head  *cacheNode // most recent
-	tail  *cacheNode // least recent
+	cap    int
+	items  map[int64]*cacheNode
+	groups map[int64]int32 // sector/groupSectors -> cached sectors in it, never 0
+	head   *cacheNode      // most recent
+	tail   *cacheNode      // least recent
 }
+
+// groupSectors is the width of one group that sectorCache.groups counts.
+const groupSectors = 64
 
 type cacheNode struct {
 	sector     int64
@@ -23,7 +31,7 @@ func newSectorCache(capacity int) *sectorCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &sectorCache{cap: capacity, items: make(map[int64]*cacheNode, capacity)}
+	return &sectorCache{cap: capacity, items: make(map[int64]*cacheNode, capacity), groups: make(map[int64]int32)}
 }
 
 func (c *sectorCache) unlink(n *cacheNode) {
@@ -76,22 +84,40 @@ func (c *sectorCache) put(sector int64, data []byte) {
 		return
 	}
 	if len(c.items) >= c.cap {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.items, lru.sector)
+		c.remove(c.tail)
 	}
 	n := &cacheNode{sector: sector, data: append(make([]byte, 0, simdisk.SectorSize), data...)}
 	c.items[sector] = n
+	c.groups[sector/groupSectors]++
 	c.pushFront(n)
 }
 
-// invalidate drops n sectors starting at sector.
+// remove drops a cached node.
+func (c *sectorCache) remove(n *cacheNode) {
+	c.unlink(n)
+	delete(c.items, n.sector)
+	g := n.sector / groupSectors
+	if k := c.groups[g]; k > 1 {
+		c.groups[g] = k - 1
+	} else {
+		delete(c.groups, g)
+	}
+}
+
+// invalidate drops n sectors starting at sector. Only the groups that
+// hold cached sectors are probed, and each only until its count is
+// spent.
 func (c *sectorCache) invalidate(sector, n int64) {
-	for i := int64(0); i < n; i++ {
-		if node, ok := c.items[sector+i]; ok {
-			c.unlink(node)
-			delete(c.items, sector+i)
+	for s, end := sector, sector+n; s < end; {
+		g := s / groupSectors
+		next := min((g+1)*groupSectors, end)
+		for left := c.groups[g]; left > 0 && s < next; s++ {
+			if node, ok := c.items[s]; ok {
+				c.remove(node)
+				left--
+			}
 		}
+		s = next
 	}
 }
 

@@ -268,9 +268,7 @@ func Run(spec Spec, target Target, start vtime.Time) (Result, error) {
 		if !spec.Pattern.Reads() {
 			// Each job writes its own non-zero pattern: zero payloads
 			// would defeat encryption-layer checks.
-			for i := range jobs[j].buf {
-				jobs[j].buf[i] = byte(j+1) ^ byte(i*131>>3)
-			}
+			fillJobPattern(jobs[j].buf, j)
 		}
 		jobs[j].seqNext = int64(j) * (blocks / int64(spec.QueueDepth)) * spec.BlockSize
 	}
@@ -428,6 +426,23 @@ func summarize(lats []time.Duration) LatencySummary {
 		P95: at(0.95),
 		P99: at(0.99),
 		Max: sorted[len(sorted)-1],
+	}
+}
+
+// jobPatternPeriod is the period of the write payload pattern:
+// 2048*131>>3 is a multiple of 256.
+const jobPatternPeriod = 2048
+
+// fillJobPattern fills buf with job j's write payload,
+// byte(j+1) ^ byte(i*131>>3) at byte i: one period is computed and
+// copied forward in doubling strides.
+func fillJobPattern(buf []byte, j int) {
+	head := buf[:min(len(buf), jobPatternPeriod)]
+	for i := range head {
+		head[i] = byte(j+1) ^ byte(i*131>>3)
+	}
+	for n := len(head); n < len(buf); n *= 2 {
+		copy(buf[n:], buf[:n])
 	}
 }
 

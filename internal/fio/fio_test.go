@@ -277,3 +277,67 @@ func TestPrecondition(t *testing.T) {
 		}
 	}
 }
+
+// captureTarget keeps a copy of every payload written to it; each write
+// takes 10 µs on one server, so the jobs take turns.
+type captureTarget struct {
+	mu     sync.Mutex
+	size   int64
+	res    *vtime.Resource
+	writes [][]byte
+}
+
+func (c *captureTarget) Size() int64 { return c.size }
+
+func (c *captureTarget) ReadAt(at vtime.Time, p []byte, off int64) (vtime.Time, error) {
+	return at, nil
+}
+
+func (c *captureTarget) WriteAt(at vtime.Time, p []byte, off int64) (vtime.Time, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, append([]byte(nil), p...))
+	c.mu.Unlock()
+	return c.res.Use(at, 10*time.Microsecond), nil
+}
+
+// TestWritePayloadPattern checks every byte a write job hands its target
+// against the pattern benchmark/verify.go expects: job j writes
+// byte(j+1) ^ byte(i*131>>3) at byte i of every block, whatever the
+// block size. Which jobs get ops is up to admission, so fillJobPattern
+// is also checked directly for jobs past the byte wrap.
+func TestWritePayloadPattern(t *testing.T) {
+	const qd = 4
+	check := func(bs int64, j int, p []byte) {
+		t.Helper()
+		if int64(len(p)) != bs {
+			t.Fatalf("bs %d: job %d payload is %d bytes", bs, j, len(p))
+		}
+		for i, got := range p {
+			if want := byte(j+1) ^ byte(i*131>>3); got != want {
+				t.Fatalf("bs %d: job %d byte %d = %#x, want %#x", bs, j, i, got, want)
+			}
+		}
+	}
+	for _, bs := range []int64{512, 3000, 4096, 1 << 20} {
+		tgt := &captureTarget{size: 8 * bs, res: vtime.NewResource("capture")}
+		spec := Spec{Pattern: RandWrite, BlockSize: bs, QueueDepth: qd, TotalOps: 4 * qd}
+		if _, err := Run(spec, tgt, 0); err != nil {
+			t.Fatal(err)
+		}
+		if len(tgt.writes) != 4*qd {
+			t.Fatalf("bs %d: captured %d writes, want %d", bs, len(tgt.writes), 4*qd)
+		}
+		for _, p := range tgt.writes {
+			j := int(p[0]) - 1 // byte 0 is byte(j+1)
+			if j < 0 || j >= qd {
+				t.Fatalf("bs %d: write from job %d of %d", bs, j, qd)
+			}
+			check(bs, j, p)
+		}
+		for _, j := range []int{0, 1, 31, 255, 300} {
+			p := make([]byte, bs)
+			fillJobPattern(p, j)
+			check(bs, j, p)
+		}
+	}
+}

@@ -235,12 +235,20 @@ func (d *Disk) SetFaults(in *fault.Injector) { d.faults.Store(in) }
 // place — the persistent form of bit rot. Unwritten (all-zero) sectors
 // are left alone: there is no media to rot.
 func (d *Disk) corruptMedia(in *fault.Injector, sector int64) {
-	chunk, off := sector/chunkSectors, (sector%chunkSectors)*SectorSize
+	chunk, off, _ := chunkRun(sector, 1)
 	d.mu.Lock()
 	if c, ok := d.chunks[chunk]; ok {
 		in.FlipBit(c[off : off+SectorSize])
 	}
 	d.mu.Unlock()
+}
+
+// chunkRun splits off the head of the n-sector extent at sector that lies
+// inside one backing chunk: the chunk's index, the head's byte offset in
+// it, and its length in sectors (at most n).
+func chunkRun(sector, n int64) (chunk, off, run int64) {
+	chunk, first := sector/chunkSectors, sector%chunkSectors
+	return chunk, first * SectorSize, min(n, chunkSectors-first)
 }
 
 func (d *Disk) checkRange(sector, n int64) error {
@@ -274,15 +282,15 @@ func (d *Disk) ReadSectors(at vtime.Time, sector, n int64, p []byte) (vtime.Time
 		rot = false
 	}
 	d.mu.RLock()
-	for i := int64(0); i < n; i++ {
-		s := sector + i
-		chunk, off := s/chunkSectors, (s%chunkSectors)*SectorSize
-		dst := p[i*SectorSize : (i+1)*SectorSize]
+	for i := int64(0); i < n; {
+		chunk, off, run := chunkRun(sector+i, n-i)
+		dst := p[i*SectorSize : (i+run)*SectorSize]
 		if c, ok := d.chunks[chunk]; ok {
-			copy(dst, c[off:off+SectorSize])
+			copy(dst, c[off:])
 		} else {
 			clear(dst)
 		}
+		i += run
 	}
 	d.mu.RUnlock()
 	if rot {
@@ -328,20 +336,19 @@ func (d *Disk) WriteSectors(at vtime.Time, sector, n int64, p []byte) (vtime.Tim
 		tornErr = fmt.Errorf("%s: write sector %d count %d persisted %d: %w",
 			d.name, sector, n, persist, fault.ErrTornWrite)
 	}
-	eph := d.ephemeralFrom.Load()
+	// Only the persisted prefix below the cost-only region reaches media;
+	// the rest of the payload is discarded.
+	keep := min(persist, max(d.ephemeralFrom.Load()-sector, 0))
 	d.mu.Lock()
-	for i := int64(0); i < persist; i++ {
-		s := sector + i
-		if s >= eph {
-			continue // cost-only region: payload discarded
-		}
-		chunk, off := s/chunkSectors, (s%chunkSectors)*SectorSize
+	for i := int64(0); i < keep; {
+		chunk, off, run := chunkRun(sector+i, keep-i)
 		c, ok := d.chunks[chunk]
 		if !ok {
 			c = make([]byte, chunkSectors*SectorSize)
 			d.chunks[chunk] = c
 		}
-		copy(c[off:off+SectorSize], p[i*SectorSize:(i+1)*SectorSize])
+		copy(c[off:], p[i*SectorSize:(i+run)*SectorSize])
+		i += run
 	}
 	d.mu.Unlock()
 	d.writeOps.Add(1)
