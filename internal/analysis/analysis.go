@@ -1,12 +1,11 @@
 // Package analysis is a small, dependency-free reimplementation of the
 // go/analysis analyzer model, built on the standard library's go/ast and
 // go/types. It exists because this repo's correctness rests on
-// conventions no general-purpose linter knows about — pooled buffers
-// that must not outlive their Put, wire-aliased slices that must not be
-// retained or mutated, virtual-time-only clocks in simulation packages,
-// constant-time comparison of authentication tags, and a lock hierarchy
-// around the per-object striped locks — and a machine must hold those
-// lines as the codebase scales out.
+// conventions no general-purpose linter knows about — wire-aliased
+// slices that must not be retained or mutated, virtual-time-only clocks
+// in simulation packages, constant-time comparison of authentication
+// tags, and no I/O under a metadata mutex — that no test or runtime
+// guard catches either (DESIGN.md "Machine-checked invariants").
 //
 // The model mirrors golang.org/x/tools/go/analysis deliberately: an
 // Analyzer is a named Run function over a Pass (one type-checked
@@ -24,7 +23,8 @@
 //	//vetrepo:ignore <analyzer>[,<analyzer>] <reason...>
 //
 // on (or on the line above) the offending line. The reason is mandatory;
-// a directive without one is itself a diagnostic. See ignore.go.
+// a directive without one, or naming an analyzer the suite does not
+// register, is itself a diagnostic. See ignore.go.
 package analysis
 
 import (

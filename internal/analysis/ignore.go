@@ -12,9 +12,12 @@ package analysis
 // "all" suppresses every analyzer. A directive with no analyzer list or
 // no reason is reported as a diagnostic itself — an unexplained
 // suppression is exactly the silent convention-breaking the suite
-// exists to prevent.
+// exists to prevent — and so is one naming an analyzer the suite does
+// not register: a deleted analyzer or a typo would otherwise leave a
+// suppression that silently does nothing.
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -37,9 +40,10 @@ type ignoreIndex struct {
 }
 
 // collectIgnores parses every //vetrepo:ignore directive in files.
-// Malformed directives come back as diagnostics attributed to the
-// pseudo-analyzer "vetrepo".
-func collectIgnores(fset *token.FileSet, files []*ast.File) (*ignoreIndex, []Diagnostic) {
+// Malformed directives, and names outside known (the registered
+// analyzers; "all" is always valid), come back as diagnostics attributed
+// to the pseudo-analyzer "vetrepo".
+func collectIgnores(fset *token.FileSet, files []*ast.File, known map[string]bool) (*ignoreIndex, []Diagnostic) {
 	idx := &ignoreIndex{m: make(map[string]map[int][]*directive)}
 	var bad []Diagnostic
 	for _, f := range files {
@@ -60,6 +64,13 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) (*ignoreIndex, []Dia
 				}
 				d := &directive{names: make(map[string]bool)}
 				for _, n := range strings.Split(fields[0], ",") {
+					if n != "all" && !known[n] {
+						bad = append(bad, Diagnostic{
+							Pos:      c.Pos(),
+							Analyzer: "vetrepo",
+							Message:  fmt.Sprintf("directive names %q, which is not a registered analyzer: the suppression does nothing", n),
+						})
+					}
 					d.names[n] = true
 				}
 				pos := fset.Position(c.Pos())

@@ -8,7 +8,10 @@ import (
 	"testing"
 )
 
-// parse returns the fset, file and ignore state for one source text.
+// testKnown stands in for the registered suite.
+var testKnown = map[string]bool{"vtimeonly": true, "cryptohygiene": true, "wirealias": true}
+
+// parseIgnores returns the fset, file and ignore state for one source text.
 func parseIgnores(t *testing.T, src string) (*token.FileSet, *ast.File, *ignoreIndex, []Diagnostic) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -16,7 +19,7 @@ func parseIgnores(t *testing.T, src string) (*token.FileSet, *ast.File, *ignoreI
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, bad := collectIgnores(fset, []*ast.File{f})
+	idx, bad := collectIgnores(fset, []*ast.File{f}, testKnown)
 	return fset, f, idx, bad
 }
 
@@ -46,9 +49,9 @@ func a() {
 		}
 	}
 	// A different analyzer on the covered line is not suppressed.
-	d := Diagnostic{Pos: posOnLine(fset, f, 5), Analyzer: "pooledbuf"}
+	d := Diagnostic{Pos: posOnLine(fset, f, 5), Analyzer: "cryptohygiene"}
 	if idx.suppresses(fset, d) {
-		t.Error("directive for vtimeonly suppressed a pooledbuf diagnostic")
+		t.Error("directive for vtimeonly suppressed a cryptohygiene diagnostic")
 	}
 }
 
@@ -56,7 +59,7 @@ func TestIgnoreListAndAll(t *testing.T) {
 	const src = `package p
 
 func a() {
-	//vetrepo:ignore vtimeonly,pooledbuf shared buffer handed to the harness
+	//vetrepo:ignore vtimeonly,cryptohygiene shared buffer handed to the harness
 	_ = 1
 }
 
@@ -69,7 +72,7 @@ func b() {
 	if len(bad) != 0 {
 		t.Fatalf("unexpected malformed directives: %v", bad)
 	}
-	for _, name := range []string{"vtimeonly", "pooledbuf"} {
+	for _, name := range []string{"vtimeonly", "cryptohygiene"} {
 		d := Diagnostic{Pos: posOnLine(fset, f, 5), Analyzer: name}
 		if !idx.suppresses(fset, d) {
 			t.Errorf("comma list did not suppress %s", name)
@@ -108,5 +111,28 @@ func a() {
 	}
 	if idx.suppresses(fset, bad[0]) {
 		t.Error("vetrepo malformed-directive report was suppressible")
+	}
+}
+
+func TestIgnoreUnknownAnalyzerIsLoud(t *testing.T) {
+	const src = `package p
+
+func a() {
+	//vetrepo:ignore vtimeonly,vtimeonyl typo in the second name
+	_ = 1
+	//vetrepo:ignore retired analyzer that no longer exists
+	_ = 2
+	//vetrepo:ignore all every registered analyzer
+	_ = 3
+}
+`
+	_, _, _, bad := parseIgnores(t, src)
+	if len(bad) != 2 {
+		t.Fatalf("got %d diagnostics, want 2 (the typo and the retired name; all is valid): %v", len(bad), bad)
+	}
+	for i, name := range []string{"vtimeonyl", "retired"} {
+		if bad[i].Analyzer != "vetrepo" || !strings.Contains(bad[i].Message, `"`+name+`"`) {
+			t.Errorf("diagnostic %d = %+v, want a vetrepo report naming %q", i, bad[i], name)
+		}
 	}
 }

@@ -1,24 +1,18 @@
-// Package lockdiscipline checks the stack's lock hierarchy around the
-// per-object striped lock table. The engine intentionally holds a
-// striped per-object lock across the backing-store Operate call — that
-// is the serialization point for read-modify-write, copyup and rekey —
-// so that shape is NOT flagged. What the analyzer bans are the shapes
-// that have actually deadlocked stacks like this one:
-//
-//   - acquiring a second striped table lock while one is held (two
-//     object indexes can hash to the same stripe, which self-deadlocks
-//     on a non-reentrant mutex);
-//   - calling back into an image entry point (ReadAt, WriteAt,
-//     CopyupObject, RekeyObject, ...) while a table lock is held — the
-//     entry point re-acquires the stripe for its own object;
-//   - blocking wire calls (Operate, OperateHeader, Call, CallTyped) while
-//     holding a plain sync.Mutex/RWMutex, which are used here for
-//     metadata maps and must stay I/O-free;
-//   - time.Sleep while holding any lock.
+// Package lockdiscipline keeps blocking wire calls out from under plain
+// mutexes. The engine intentionally holds a per-object lock from its
+// lock table across the backing-store Operate call — that is the
+// serialization point for read-modify-write, copyup and rekey — so that
+// shape is NOT flagged. A plain sync.Mutex/RWMutex guards metadata maps
+// and must stay I/O-free: a wire call (Operate, OperateHeader, Call,
+// CallTyped) under one serializes every caller of that mutex behind a
+// round trip, and no test notices, because the calls still complete.
 //
 // A "table lock" is one fetched from an accessor (the receiver chain of
 // Lock() contains a call, e.g. e.locks.of(idx).Lock()) or a variable
 // initialized from such a call; every other sync mutex is "plain".
+// (Re-locking a table lock, directly or through an image entry point,
+// self-deadlocks on the first call and hangs every test that reaches
+// it; the deadlock needs no analyzer.)
 package lockdiscipline
 
 import (
@@ -30,23 +24,9 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "flags nested striped-lock acquisition, re-entrant image calls under a table lock, blocking wire calls under plain mutexes, and sleeps under any lock",
+	Doc:  "flags blocking wire calls under plain mutexes",
 	Run:  run,
 }
-
-// entryPoints are the image entry points that internally acquire the
-// per-object stripe, matched as methods of the engine packages.
-var entryPoints = map[string]bool{
-	"ReadAt":            true,
-	"WriteAt":           true,
-	"ReadAtSnap":        true,
-	"ReadAtSnapPresent": true,
-	"RekeyObject":       true,
-	"CopyupObject":      true,
-	"Discard":           true,
-}
-
-var entryPkgs = map[string]bool{"core": true, "clone": true}
 
 // blockingOps are the synchronous wire/backing-store calls.
 var blockingOps = map[string]bool{
@@ -57,29 +37,6 @@ var blockingOps = map[string]bool{
 }
 
 var blockingPkgs = map[string]bool{"rados": true, "msgr": true, "rbd": true}
-
-type lockKind int
-
-const (
-	plainLock lockKind = iota
-	tableLock
-)
-
-func (k lockKind) String() string {
-	if k == tableLock {
-		return "table lock"
-	}
-	return "mutex"
-}
-
-// heldLock identifies one acquired lock within a statement list.
-type heldLock struct {
-	kind lockKind
-	// path is the receiver expression rendered to text (e.g. "lk",
-	// "e.mu"); used to pair the releasing Unlock and to name the lock in
-	// diagnostics.
-	path string
-}
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
@@ -126,10 +83,18 @@ func collectTableVars(pass *analysis.Pass, file *ast.File) map[*types.Var]bool {
 	return vars
 }
 
-// syncLockCall matches m.Lock()/m.RLock() (acquire=true) or
-// m.Unlock()/m.RUnlock() (acquire=false) on a sync mutex, returning the
-// receiver expression.
-func syncLockCall(pass *analysis.Pass, call *ast.CallExpr, acquire bool) (ast.Expr, bool) {
+// syncLockCall matches a statement that is m.Lock()/m.RLock()
+// (acquire=true) or m.Unlock()/m.RUnlock() (acquire=false) on a sync
+// mutex, returning the receiver expression.
+func syncLockCall(pass *analysis.Pass, stmt ast.Stmt, acquire bool) (ast.Expr, bool) {
+	es, ok := stmt.(*ast.ExprStmt)
+	if !ok {
+		return nil, false
+	}
+	call, ok := es.X.(*ast.CallExpr)
+	if !ok {
+		return nil, false
+	}
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return nil, false
@@ -138,88 +103,48 @@ func syncLockCall(pass *analysis.Pass, call *ast.CallExpr, acquire bool) (ast.Ex
 	if !ok || f.Pkg() == nil || f.Pkg().Path() != "sync" {
 		return nil, false
 	}
-	name := f.Name()
-	if acquire {
-		if name != "Lock" && name != "RLock" {
-			return nil, false
-		}
-	} else {
-		if name != "Unlock" && name != "RUnlock" {
-			return nil, false
-		}
+	switch f.Name() {
+	case "Lock", "RLock":
+		return sel.X, acquire
+	case "Unlock", "RUnlock":
+		return sel.X, !acquire
 	}
-	return sel.X, true
+	return nil, false
 }
 
-// classify decides whether the receiver of a Lock call is a striped
-// table lock or a plain mutex.
-func classify(pass *analysis.Pass, recv ast.Expr, tableVars map[*types.Var]bool) lockKind {
+// isTableLock reports whether the receiver of a Lock call is a lock
+// handed out by a lock table rather than a plain mutex.
+func isTableLock(pass *analysis.Pass, recv ast.Expr, tableVars map[*types.Var]bool) bool {
 	if analysis.ContainsCall(recv) {
-		return tableLock
+		return true
 	}
-	if root := analysis.RootIdent(recv); root != nil {
-		if v := analysis.ObjectOf(pass.TypesInfo, root); v != nil && tableVars[v] {
-			return tableLock
-		}
-	}
-	return plainLock
+	root := analysis.RootIdent(recv)
+	return root != nil && tableVars[analysis.ObjectOf(pass.TypesInfo, root)]
 }
 
-// scanList walks one straight-line statement sequence. From a Lock
-// statement until its pairing plain Unlock (a deferred Unlock holds the
-// lock to function end, i.e. past the end of this list), every
-// statement is checked for the banned shapes.
+// scanList walks one straight-line statement sequence. From a plain
+// mutex's Lock statement until its pairing plain Unlock (a deferred
+// Unlock holds the lock to function end, i.e. past the end of this
+// list), every statement is checked for blocking wire calls.
 func scanList(pass *analysis.Pass, list []ast.Stmt, tableVars map[*types.Var]bool) {
 	for i, stmt := range list {
-		held, ok := acquireOf(pass, stmt, tableVars)
-		if !ok {
+		recv, ok := syncLockCall(pass, stmt, true)
+		if !ok || isTableLock(pass, recv, tableVars) {
 			continue
 		}
+		held := types.ExprString(recv)
 		for _, later := range list[i+1:] {
-			if releases(pass, later, held) {
+			if r, ok := syncLockCall(pass, later, false); ok && types.ExprString(r) == held {
 				break
 			}
-			checkStmt(pass, later, held, tableVars)
+			checkStmt(pass, later, held)
 		}
 	}
 }
 
-// acquireOf matches a statement that is a plain Lock/RLock call.
-func acquireOf(pass *analysis.Pass, stmt ast.Stmt, tableVars map[*types.Var]bool) (heldLock, bool) {
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return heldLock{}, false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return heldLock{}, false
-	}
-	recv, ok := syncLockCall(pass, call, true)
-	if !ok {
-		return heldLock{}, false
-	}
-	return heldLock{
-		kind: classify(pass, recv, tableVars),
-		path: types.ExprString(recv),
-	}, true
-}
-
-// releases matches the plain (non-deferred) Unlock pairing held.
-func releases(pass *analysis.Pass, stmt ast.Stmt, held heldLock) bool {
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	recv, ok := syncLockCall(pass, call, false)
-	return ok && types.ExprString(recv) == held.path
-}
-
-// checkStmt inspects one statement executed while held is locked.
-func checkStmt(pass *analysis.Pass, stmt ast.Stmt, held heldLock, tableVars map[*types.Var]bool) {
+// checkStmt flags the blocking wire calls one statement makes while the
+// plain mutex held is locked.
+func checkStmt(pass *analysis.Pass, stmt ast.Stmt, held string) {
 	ast.Inspect(stmt, func(n ast.Node) bool {
 		// A deferred call runs at function exit, when this lock may be
 		// gone; a nested function literal runs who-knows-when. Neither
@@ -232,28 +157,9 @@ func checkStmt(pass *analysis.Pass, stmt ast.Stmt, held heldLock, tableVars map[
 		if !ok {
 			return true
 		}
-
-		if recv, isAcquire := syncLockCall(pass, call, true); isAcquire {
-			if held.kind == tableLock && classify(pass, recv, tableVars) == tableLock {
-				pass.Reportf(call.Pos(), "second striped table lock (%s) acquired while holding %s: two object indexes can share a stripe, which self-deadlocks", types.ExprString(recv), held.path)
-			}
-			return true
-		}
-
 		f := analysis.CalleeFunc(pass.TypesInfo, call)
-		if f == nil {
-			return true
-		}
-		pkg := analysis.FuncPkgName(f)
-		isMethod := !analysis.IsPkgLevel(f)
-
-		switch {
-		case f.Pkg() != nil && f.Pkg().Path() == "time" && f.Name() == "Sleep":
-			pass.Reportf(call.Pos(), "time.Sleep while holding %s %s stalls every goroutine queued on it", held.kind, held.path)
-		case held.kind == tableLock && isMethod && entryPkgs[pkg] && entryPoints[f.Name()]:
-			pass.Reportf(call.Pos(), "image entry point %s called while holding table lock %s: it re-acquires the per-object stripe and can self-deadlock", f.Name(), held.path)
-		case held.kind == plainLock && isMethod && blockingPkgs[pkg] && blockingOps[f.Name()]:
-			pass.Reportf(call.Pos(), "blocking wire call %s.%s under mutex %s: plain mutexes guard metadata and must stay I/O-free (per-object stripes are the I/O serialization point)", pkg, f.Name(), held.path)
+		if f != nil && !analysis.IsPkgLevel(f) && blockingPkgs[analysis.FuncPkgName(f)] && blockingOps[f.Name()] {
+			pass.Reportf(call.Pos(), "blocking wire call %s.%s under mutex %s: plain mutexes guard metadata and must stay I/O-free (per-object table locks are the I/O serialization point)", analysis.FuncPkgName(f), f.Name(), held)
 		}
 		return true
 	})

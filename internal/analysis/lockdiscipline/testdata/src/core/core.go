@@ -4,7 +4,6 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"rados"
 )
@@ -19,36 +18,14 @@ type engine struct {
 	conn  *rados.Conn
 }
 
-func (e *engine) WriteAt(p []byte, off int64) (int, error) { return len(p), nil }
-
-func (e *engine) badNestedStripe(i, j int) {
-	lk := e.locks.of(i)
-	lk.Lock()
-	defer lk.Unlock()
-	e.locks.of(j).Lock() // want "second striped table lock"
-}
-
-func (e *engine) badReentrantEntry(i int, p []byte) {
-	lk := e.locks.of(i)
-	lk.Lock()
-	defer lk.Unlock()
-	_, _ = e.WriteAt(p, 0) // want "re-acquires the per-object stripe"
-}
-
 func (e *engine) badBlockingUnderMutex(oid string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	_ = e.conn.Operate(oid) // want "blocking wire call"
 }
 
-func (e *engine) badSleepUnderLock() {
-	e.mu.Lock()
-	time.Sleep(time.Millisecond) // want "time.Sleep while holding"
-	e.mu.Unlock()
-}
-
 // okOperateUnderStripe is the engine's intentional serialization shape:
-// the per-object stripe IS the I/O serialization point.
+// the per-object table lock IS the I/O serialization point.
 func (e *engine) okOperateUnderStripe(i int, oid string) {
 	lk := e.locks.of(i)
 	lk.Lock()
@@ -63,9 +40,8 @@ func (e *engine) okOperateAfterUnlock(oid string) {
 	_ = e.conn.Operate(oid)
 }
 
-func (e *engine) okDeferredWork(i int, p []byte) {
-	lk := e.locks.of(i)
-	lk.Lock()
-	defer func() { _, _ = e.WriteAt(p, 0) }()
-	lk.Unlock()
+func (e *engine) okDeferredWork(oid string) {
+	e.mu.Lock()
+	defer func() { _ = e.conn.Operate(oid) }()
+	e.mu.Unlock()
 }

@@ -37,7 +37,11 @@ func NewInfo() *types.Info {
 // RunAnalyzers runs every applicable analyzer over the unit and returns
 // the surviving (non-ignored) diagnostics in file/position order.
 func RunAnalyzers(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
-	ignores, malformed := collectIgnores(u.Fset, u.Files)
+	known := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		known[a.Name] = true
+	}
+	ignores, malformed := collectIgnores(u.Fset, u.Files, known)
 	var raw []Diagnostic
 	raw = append(raw, malformed...)
 	for _, a := range analyzers {

@@ -4,20 +4,16 @@ package suite
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomicstate"
 	"repro/internal/analysis/cryptohygiene"
 	"repro/internal/analysis/lockdiscipline"
-	"repro/internal/analysis/pooledbuf"
 	"repro/internal/analysis/vtimeonly"
 	"repro/internal/analysis/wirealias"
 )
 
 // Analyzers is the full suite, in diagnostic-name order.
 var Analyzers = []*analysis.Analyzer{
-	atomicstate.Analyzer,
 	cryptohygiene.Analyzer,
 	lockdiscipline.Analyzer,
-	pooledbuf.Analyzer,
 	vtimeonly.Analyzer,
 	wirealias.Analyzer,
 }

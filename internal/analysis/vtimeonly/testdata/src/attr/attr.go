@@ -4,10 +4,7 @@
 // wall time into the attribution tables and break replay determinism.
 package attr
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 type phaseRow struct {
 	sum int64
@@ -17,14 +14,6 @@ func badPhaseStamp(r *phaseRow) {
 	r.sum += time.Since(time.Unix(0, 0)).Nanoseconds() // want "time.Since reads the host clock"
 }
 
-func badSampleJitter() bool {
-	return rand.Float64() < 0.01 // want "global math/rand.Float64 is process-seeded"
-}
-
 func okObserve(r *phaseRow, d time.Duration) {
 	r.sum += int64(d)
-}
-
-func okSeededJitter(seed int64) bool {
-	return rand.New(rand.NewSource(seed)).Float64() < 0.01
 }

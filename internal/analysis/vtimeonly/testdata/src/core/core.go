@@ -2,10 +2,7 @@
 // package named like a simulation package.
 package core
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 func badNow() int64 {
 	return time.Now().UnixNano() // want "time.Now reads the host clock"
@@ -13,15 +10,6 @@ func badNow() int64 {
 
 func badSleep() {
 	time.Sleep(time.Millisecond) // want "time.Sleep reads the host clock"
-}
-
-func badGlobalRand() int {
-	return rand.Int() // want "process-seeded"
-}
-
-func okSeeded(seed int64) int {
-	r := rand.New(rand.NewSource(seed))
-	return r.Int()
 }
 
 func okPureTypes(d time.Duration) time.Duration {

@@ -1,23 +1,12 @@
 // Package fault seeds vtimeonly violations in a package named like the
 // fault-injection package: a plan must replay from its seed alone, so
-// host-clock reads and the process-seeded global rand are banned.
+// host-clock reads are banned.
 package fault
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 func badDelayFromClock() time.Duration {
 	return time.Since(time.Unix(0, 0)) // want "time.Since reads the host clock"
-}
-
-func badHitDraw() bool {
-	return rand.Float64() < 0.5 // want "process-seeded"
-}
-
-func okSeededInjector(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
 }
 
 func okDurationMath(d time.Duration) time.Duration {

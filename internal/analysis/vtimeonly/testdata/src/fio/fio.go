@@ -1,6 +1,6 @@
 // Package fio is the one simulation package exempt from the goroutine
 // ban — its jobs are the workload's own concurrency — while the clock
-// and randomness bans still apply.
+// ban still applies.
 package fio
 
 import "time"

@@ -5,10 +5,7 @@
 // nondeterministic across replays.
 package history
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 type sample struct {
 	at    int64
@@ -19,15 +16,6 @@ func badRecordStamp(s *sample) {
 	s.at = time.Now().UnixNano() // want "time.Now reads the host clock"
 }
 
-func badJitteredFlush() {
-	jitter := rand.Int63n(1e6)        // want "global math/rand.Int63n is process-seeded"
-	time.Sleep(time.Duration(jitter)) // want "time.Sleep reads the host clock"
-}
-
 func okCallerStamp(s *sample, at int64) {
 	s.at = at
-}
-
-func okSeededJitter(seed int64) int64 {
-	return rand.New(rand.NewSource(seed)).Int63n(1e6)
 }

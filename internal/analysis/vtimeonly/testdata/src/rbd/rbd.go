@@ -4,10 +4,7 @@
 // restart decisions never sample host state.
 package rbd
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 func badStepDeadline(start time.Time) bool {
 	return time.Since(start) > time.Second // want "time.Since reads the host clock"
@@ -15,12 +12,4 @@ func badStepDeadline(start time.Time) bool {
 
 func badAdmissionWait() {
 	<-time.After(time.Millisecond) // want "time.After reads the host clock"
-}
-
-func badRestartJitter(objects int64) int64 {
-	return rand.Int63n(objects) // want "process-seeded"
-}
-
-func okSeededOrder(seed, objects int64) int64 {
-	return rand.New(rand.NewSource(seed)).Int63n(objects)
 }

@@ -3,10 +3,7 @@
 // only hold if the walker never samples host state.
 package scrub
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 func badPacingBeat() {
 	time.Sleep(20 * time.Millisecond) // want "time.Sleep reads the host clock"
@@ -14,10 +11,6 @@ func badPacingBeat() {
 
 func badWalkDeadline() bool {
 	return time.Now().IsZero() // want "time.Now reads the host clock"
-}
-
-func badShuffleOrder(n int) int {
-	return rand.Intn(n) // want "process-seeded"
 }
 
 func okVirtualBudget(d time.Duration) time.Duration {

@@ -1,17 +1,18 @@
-// Package vtimeonly bans wall-clock reads, unseeded randomness and
-// goroutines in the simulation packages. The whole stack is measured in
-// virtual time (internal/vtime), and the background walkers (rekey,
-// flatten, scrub, all on rbd's walker kernel) are crash-resumable only
-// because a replay of the same inputs takes the same decisions: one
-// stray time.Now in a paced walker or one draw from the process-seeded
-// global math/rand source and crash-resume replay, paced-interference
-// measurements and the deterministic fio offset sequences all silently
-// diverge. Seeded generators (rand.New(rand.NewSource(seed))) remain
-// fine; so do time.Duration and the other pure types — only the
-// functions that sample host state are banned. A go statement samples
-// host state too: resources grant reservations in arrival order, so legs
-// that overlap in virtual time must be issued by vtime.Join on the
-// caller's goroutine, not raced by the Go scheduler.
+// Package vtimeonly bans wall-clock reads and goroutines in the
+// simulation packages. The whole stack is measured in virtual time
+// (internal/vtime), and the background walkers (rekey, flatten, scrub,
+// all on rbd's walker kernel) are crash-resumable only because a replay
+// of the same inputs takes the same decisions: one stray time.Now or
+// time.Sleep in a paced walker and crash-resume replay and
+// paced-interference measurements silently diverge, while every test
+// still passes. time.Duration and the other pure types remain fine —
+// only the functions that sample host state are banned. A go statement
+// samples host state too: resources grant reservations in arrival order,
+// so legs that overlap in virtual time must be issued by vtime.Join on
+// the caller's goroutine, not raced by the Go scheduler. (A draw from the
+// process-seeded global math/rand source is not banned here: the fio
+// offset sequences and the kvstore goldens pin their draws, and tier-1
+// fails on one.)
 package vtimeonly
 
 import (
@@ -63,19 +64,9 @@ var bannedTime = map[string]bool{
 	"NewTicker": true,
 }
 
-// allowedRand are the math/rand constructors for explicitly-seeded
-// generators.
-var allowedRand = map[string]bool{
-	"New":        true,
-	"NewSource":  true,
-	"NewZipf":    true,
-	"NewPCG":     true, // math/rand/v2
-	"NewChaCha8": true,
-}
-
 var Analyzer = &analysis.Analyzer{
 	Name:     "vtimeonly",
-	Doc:      "bans wall-clock time, global math/rand and goroutines in the simulation packages (crash-resume and replay determinism)",
+	Doc:      "bans wall-clock time and goroutines in the simulation packages (crash-resume and replay determinism)",
 	Packages: simulationPackages,
 	Run:      run,
 }
@@ -83,18 +74,8 @@ var Analyzer = &analysis.Analyzer{
 func run(pass *analysis.Pass) error {
 	for id, obj := range pass.TypesInfo.Uses {
 		f, ok := obj.(*types.Func)
-		if !ok || f.Pkg() == nil || !analysis.IsPkgLevel(f) {
-			continue
-		}
-		switch f.Pkg().Path() {
-		case "time":
-			if bannedTime[f.Name()] {
-				pass.Reportf(id.Pos(), "time.%s reads the host clock; simulation packages are virtual-time only — use vtime timestamps (or move the wall-clock measurement to a harness package)", f.Name())
-			}
-		case "math/rand", "math/rand/v2":
-			if !allowedRand[f.Name()] {
-				pass.Reportf(id.Pos(), "global %s.%s is process-seeded and nondeterministic; use rand.New(rand.NewSource(seed)) so runs replay", f.Pkg().Path(), f.Name())
-			}
+		if ok && f.Pkg() != nil && f.Pkg().Path() == "time" && analysis.IsPkgLevel(f) && bannedTime[f.Name()] {
+			pass.Reportf(id.Pos(), "time.%s reads the host clock; simulation packages are virtual-time only — use vtime timestamps (or move the wall-clock measurement to a harness package)", f.Name())
 		}
 	}
 	if pass.Pkg.Name() == goExempt {

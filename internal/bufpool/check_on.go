@@ -3,8 +3,8 @@
 package bufpool
 
 // The bufpoolcheck build tag arms a runtime guard behind Get/Put — the
-// dynamic backstop to the static pooledbuf analyzer (which only proves
-// the straight-line cases). While armed:
+// repo's pooled-buffer ownership check, which CI runs over every test
+// with -race -tags bufpoolcheck. While armed:
 //
 //   - every pooled Put poisons the buffer with 0xDB and records the
 //     caller's stack;

@@ -37,8 +37,8 @@ var (
 	mBytesTyped = mBytesVec.With("typed")
 	mBytesBytes = mBytesVec.With("bytes")
 	// mOutstanding is the why-signal for wire backpressure: round trips
-	// currently in flight across all connections (health's
-	// msgr-outstanding-high rule watches it).
+	// currently in flight across all connections (at most two per
+	// goroutine issuing IO: calls are synchronous).
 	mOutstanding = telemetry.NewGauge("msgr_outstanding_requests",
 		"messenger round trips currently in flight")
 )

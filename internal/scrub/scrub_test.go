@@ -11,6 +11,8 @@ import (
 	"repro/internal/rados"
 	"repro/internal/rbd"
 	"repro/internal/simdisk"
+	"repro/internal/telemetry"
+	"repro/internal/telemetry/health"
 )
 
 const (
@@ -168,23 +170,48 @@ func TestScrubCheckOnlyCountsWithoutRepair(t *testing.T) {
 	}
 	plantGarbage(t, e, e.Image().Replicas(0)[0], 0, 4)
 
+	// The health plane sees the unrepaired finding: the found-minus-
+	// repaired total the scrub-findings-outstanding rule reads rises by
+	// exactly the one planted block (earlier tests in this binary may
+	// have left it above zero).
+	mon := health.NewMonitor(telemetry.Default)
+	mon.Observe(0)
+	before := outstanding(t, mon.Report(0))
+
 	s, _, err := Start(0, e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.SetRepair(false)
-	if _, err := s.Run(0); err != nil {
+	end, err := s.Run(0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	p := s.Progress()
 	if p.Found != 1 || p.Repaired != 0 {
 		t.Fatalf("check-only scrub found=%d repaired=%d, want 1/0", p.Found, p.Repaired)
 	}
+	mon.Observe(end)
+	if v := outstanding(t, mon.Report(end)); !v.Firing || v.Value != before.Value+1 {
+		t.Fatalf("scrub-findings-outstanding after a check-only finding: %v (before: %v)", v, before)
+	}
 	// The damage is still there, and still loud.
 	buf := make([]byte, bs)
 	if _, err := e.ReadAt(0, buf, 4*bs); !errors.Is(err, core.ErrIntegrity) {
 		t.Fatalf("read after check-only scrub: err=%v, want ErrIntegrity", err)
 	}
+}
+
+// outstanding returns the scrub-findings-outstanding verdict of rep.
+func outstanding(t *testing.T, rep health.Report) health.Verdict {
+	t.Helper()
+	for _, v := range rep.Verdicts {
+		if v.Rule == "scrub-findings-outstanding" {
+			return v
+		}
+	}
+	t.Fatalf("no scrub-findings-outstanding verdict in\n%s", rep)
+	return health.Verdict{}
 }
 
 func TestScrubCrashResume(t *testing.T) {

@@ -4,8 +4,8 @@
 // rule names a metric family, a window, a threshold and a severity, and
 // the engine computes the rest — so the rule set (foreground p99
 // ceiling, client-error and fault-injection rates, scrub findings
-// outstanding, pacer debt growth, OSD silence, datapath and wire
-// backpressure) is one slice literal, DefaultRules, over one window.
+// outstanding, pacer debt growth, OSD silence, datapath backpressure)
+// is one slice literal, DefaultRules, over one window.
 //
 // Evaluation is a monitoring-path operation, not a datapath one: it
 // walks the history under its lock and formats verdict details, so it
@@ -60,9 +60,6 @@ const (
 	// observations inside the window (histogram-delta, merged across
 	// series) exceeds Threshold virtual nanoseconds.
 	QuantileAbove
-	// GaugeAbove fires when any series of the family currently exceeds
-	// Threshold.
-	GaugeAbove
 	// GaugeGrowth fires when any series of the family grew by more than
 	// Threshold over the window (pacer debt creep).
 	GaugeGrowth
@@ -84,7 +81,7 @@ type Rule struct {
 	Baseline  string         // second family: OutstandingAbove subtrahend, SilentWhile activity witness
 	Q         float64        // quantile for QuantileAbove
 	Window    vtime.Duration // query window for windowed kinds
-	Threshold float64        // rate: per virtual second; quantile/gauge: value units; silence: series count
+	Threshold float64        // rate: per virtual second; quantile/growth: value units; silence: series count
 	Severity  Status         // status contributed when firing
 }
 
@@ -185,9 +182,6 @@ func (e *Engine) eval(r Rule) Verdict {
 	case QuantileAbove:
 		v.Value = float64(h.QuantileOver(r.Family, r.Q, r.Window))
 		v.Detail = fmt.Sprintf("p%g(%s) over %v", r.Q*100, r.Family, r.Window)
-	case GaugeAbove:
-		v.Value = float64(h.GaugeMax(r.Family))
-		v.Detail = fmt.Sprintf("max %s", r.Family)
 	case GaugeGrowth:
 		v.Value = float64(h.DeltaMax(r.Family, r.Window))
 		v.Detail = fmt.Sprintf("max Δ%s over %v", r.Family, r.Window)
@@ -258,11 +252,6 @@ func DefaultRules() []Rule {
 		// the queue is full (core_dp_inline_total counts them).
 		{Name: "datapath-queue-saturation", Kind: RateAbove, Family: "core_dp_inline_total",
 			Window: w, Threshold: 100, Severity: Degraded},
-		// Wire backpressure: an outsized in-flight request population
-		// means the cluster is absorbing far more concurrency than the
-		// simulated hardware can drain.
-		{Name: "msgr-outstanding-high", Kind: GaugeAbove, Family: "msgr_outstanding_requests",
-			Threshold: 4096, Severity: Degraded},
 	}
 }
 

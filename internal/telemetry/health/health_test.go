@@ -25,7 +25,6 @@ type ruleSet struct {
 	rep    *telemetry.Counter
 	inline *telemetry.Counter
 	debt   *telemetry.Gauge
-	outst  *telemetry.Gauge
 	lat    *telemetry.Histogram
 	serve0 *telemetry.Histogram
 	serve1 *telemetry.Histogram
@@ -42,7 +41,6 @@ func newRuleSet() *ruleSet {
 		rep:    reg.NewCounter("scrub_blocks_repaired_total", "test"),
 		inline: reg.NewCounter("core_dp_inline_total", "test"),
 		debt:   reg.NewGauge("rekey_pacer_debt_ns", "test"),
-		outst:  reg.NewGauge("msgr_outstanding_requests", "test"),
 		lat:    reg.NewHistogram("fio_op_vtime", "test"),
 	}
 	sv := reg.NewHistogramVec("osd_serve_vtime", "test", "osd")
@@ -74,15 +72,14 @@ func TestDefaultRulesFire(t *testing.T) {
 	}
 
 	// One bad 100 ms window: errors, faults, slow ops, stuck pacer debt,
-	// unrepaired scrub findings, a saturated datapath queue, wire
-	// backpressure, and osd 1 silent while clients are active.
+	// unrepaired scrub findings, a saturated datapath queue, and osd 1
+	// silent while clients are active.
 	s.reqs.Add(100)
 	s.errs.Add(50)
 	s.faults.Add(20)
 	s.bad.Add(3)
 	s.inline.Add(50) // 500/s over the 100 ms window, ceiling is 100/s
 	s.debt.Set(200 * 1e6)
-	s.outst.Set(5000) // ceiling is 4096 in flight
 	for i := 0; i < 100; i++ {
 		s.lat.Observe(30 * ms) // p99 ceiling is 20 ms
 		s.serve0.Observe(1 * ms)
@@ -104,7 +101,6 @@ func TestDefaultRulesFire(t *testing.T) {
 		{"rekey-pacer-debt-growth", Degraded},
 		{"osd-silence", Critical},
 		{"datapath-queue-saturation", Degraded},
-		{"msgr-outstanding-high", Degraded},
 	} {
 		v := verdictOf(rep, want.rule)
 		if !v.Firing || v.Severity != want.severity {
@@ -120,12 +116,11 @@ func TestDefaultRulesFire(t *testing.T) {
 	}
 
 	// Clear the causes over the next window: repairs catch up, debt
-	// drains, the datapath queue and wire drain, both OSDs serve, ops
-	// run fast, no new errors or faults.
+	// drains, the datapath queue drains, both OSDs serve, ops run fast,
+	// no new errors or faults.
 	s.reqs.Add(100)
 	s.rep.Add(3)
 	s.debt.Set(0)
-	s.outst.Set(0)
 	for i := 0; i < 100; i++ {
 		s.lat.Observe(1 * ms)
 		s.serve0.Observe(1 * ms)

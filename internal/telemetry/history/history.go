@@ -279,24 +279,6 @@ func (h *History) RateSum(family string, w vtime.Duration) float64 {
 	return rate
 }
 
-// GaugeMax returns the largest live value across the family's series
-// (useful for "any pacer's debt above X" rules).
-func (h *History) GaugeMax(family string) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var max int64
-	first := true
-	for _, t := range h.list {
-		if t.family != family {
-			continue
-		}
-		if v := t.value(); first || v > max {
-			max, first = v, false
-		}
-	}
-	return max
-}
-
 // DeltaMax returns the largest windowed delta across the family's
 // series (gauge growth rules).
 func (h *History) DeltaMax(family string, w vtime.Duration) int64 {

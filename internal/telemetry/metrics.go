@@ -12,8 +12,8 @@
 // *Histogram handles. Recording (Add, Set, Observe, span hops) is the
 // hot path: a handful of atomic operations, zero heap allocations —
 // pinned by TestTelemetryAllocBudget and the CI bench gate. Metric
-// state lives only in sync/atomic fields (vetrepo's atomicstate
-// analyzer pins this), so concurrent readers — the rbdctl status
+// state lives only in sync/atomic fields (a plain one is a data race
+// CI's -race job reports), so concurrent readers — the rbdctl status
 // surface, the Prometheus exposition — need no coordination with
 // writers and are race-free by construction.
 //
