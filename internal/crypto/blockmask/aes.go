@@ -10,31 +10,43 @@ import (
 // the ECB pass eme runs between its masking passes, and the XTS pass
 // with the masking fused in. On amd64 with AES-NI it runs eight blocks
 // per pass through the rounds (aes_amd64.s) on round keys expanded once
-// here; elsewhere it loops over crypto/aes one block at a time. It is
-// safe for concurrent use.
+// here, and with VAES it seals XTS sixteen blocks per pass on 256-bit
+// registers; elsewhere it loops over crypto/aes one block at a time. It
+// is safe for concurrent use.
 type AES struct {
-	// rounds is 10, 12 or 14 on the assembly path and 0 on the generic
-	// one, which loops over block instead.
+	kernel kernel // the passes this key runs on
+	// rounds is 10, 12 or 14 on the assembly kernels and 0 on the
+	// generic one, which loops over block instead.
 	rounds   int
 	enc, dec [4 * 15]uint32 // round keys, in the byte order AESENC reads
 	block    cipher.Block
 }
 
-// NewAES returns the primitive for a 16, 24 or 32-byte key, taking the
-// assembly path when the CPU has AES-NI.
+// kernel is one way to run the passes. Each needs the CPU features of
+// the one before it.
+type kernel uint8
+
+const (
+	generic kernel = iota // crypto/aes, one block at a time
+	aesni                 // the eight-block AES-NI passes
+	vaes                  // aesni, but EncryptXTS's whole 16-block groups in the VAES pass
+)
+
+// NewAES returns the primitive for a 16, 24 or 32-byte key on the
+// fastest kernel the CPU runs.
 func NewAES(key []byte) (*AES, error) {
-	return newAES(key, hasAESNI)
+	return newAES(key, hostKernel)
 }
 
-// newAES is NewAES with the path chosen by the caller; asm must be
-// false unless the CPU has AES-NI. crypto/aes checks the key size.
-func newAES(key []byte, asm bool) (*AES, error) {
+// newAES is NewAES on the kernel k, which must not be above
+// hostKernel. crypto/aes checks the key size.
+func newAES(key []byte, k kernel) (*AES, error) {
 	b, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, err
 	}
-	a := &AES{block: b}
-	if asm {
+	a := &AES{kernel: k, block: b}
+	if k != generic {
 		a.rounds = len(key)/4 + 6
 		a.expandKey(key)
 	}
@@ -70,11 +82,19 @@ func (a *AES) Decrypt(dst, src []byte) {
 // encrypted, and masked again. t is the encrypted tweak on entry and
 // is left at the mask that follows the last block, so a data unit split
 // across calls chains. With AES-NI the masking and the doubling run in
-// the assembly's eight-block pass; otherwise the masks are laid out
-// with Fill and applied with subtle.XORBytes around Encrypt.
+// the assembly's eight-block pass; with VAES whole 16-block groups go
+// through the sixteen-block pass first and the rest through the
+// eight-block one. Otherwise the masks are laid out with Fill and
+// applied with subtle.XORBytes around Encrypt.
 func (a *AES) EncryptXTS(dst, src []byte, t *[BlockSize]byte) {
 	if n := checkBlocks(dst, src); n > 0 && a.rounds != 0 {
-		encryptXTS(a.rounds, &a.enc[0], &dst[0], &src[0], n, t)
+		if g := n &^ 15; g > 0 && a.kernel == vaes {
+			encryptXTS16(a.rounds, &a.enc[0], &dst[0], &src[0], g, t)
+			dst, src, n = dst[g*BlockSize:], src[g*BlockSize:], n-g
+		}
+		if n > 0 {
+			encryptXTS(a.rounds, &a.enc[0], &dst[0], &src[0], n, t)
+		}
 		return
 	}
 	xtsGeneric(dst, src, t, a.Encrypt)

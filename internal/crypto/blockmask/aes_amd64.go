@@ -5,8 +5,29 @@ import (
 	"math/bits"
 )
 
-// hasAESNI is CPUID leaf 1, ECX bit 25, read once.
-var hasAESNI = cpuidAES()
+// hostKernel is the fastest kernel this CPU runs, read once.
+var hostKernel = detect()
+
+// detect reads the CPU's features. AES-NI is CPUID leaf 1, ECX bit 25.
+// The VAES pass needs AVX2 (leaf 7, EBX bit 5), VAES and VPCLMULQDQ
+// (leaf 7, ECX bits 9 and 10), and the OS saving the YMM registers:
+// OSXSAVE and AVX (leaf 1, ECX bits 27 and 28), then XCR0 bits 1 and 2.
+func detect() kernel {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	_, _, c1, _ := cpuid(1, 0)
+	if c1&(1<<25) == 0 {
+		return generic
+	}
+	const osxsaveAVX = 1<<27 | 1<<28
+	if maxLeaf < 7 || c1&osxsaveAVX != osxsaveAVX || xgetbv()&6 != 6 {
+		return aesni
+	}
+	_, b7, c7, _ := cpuid(7, 0)
+	if b7&(1<<5) == 0 || c7&(1<<9) == 0 || c7&(1<<10) == 0 {
+		return aesni
+	}
+	return vaes
+}
 
 // expandKey fills enc with the FIPS-197 §5.2 key schedule and dec with
 // the equivalent inverse cipher's (§5.3.5), which AESDEC expects. Words
@@ -38,8 +59,12 @@ func (a *AES) expandKey(key []byte) {
 	copy(a.dec[n-4:n], enc[:4])
 }
 
-// cpuidAES reports whether the CPU has the AES-NI instructions.
-func cpuidAES() bool
+// cpuid runs CPUID with EAX=leaf and ECX=sub.
+func cpuid(leaf, sub uint32) (a, b, c, d uint32)
+
+// xgetbv returns the low word of XCR0, the register state the OS saves.
+// Only call it when CPUID reports OSXSAVE.
+func xgetbv() uint32
 
 // subWord applies the S-box to each byte of w.
 //
@@ -70,6 +95,12 @@ func decryptBlocks(rounds int, xk *uint32, dst, src *byte, n int)
 //
 //go:noescape
 func encryptXTS(rounds int, xk *uint32, dst, src *byte, n int, t *[BlockSize]byte)
+
+// encryptXTS16 is encryptXTS with 256-bit VAES, sixteen blocks per
+// pass; n must be a positive multiple of 16.
+//
+//go:noescape
+func encryptXTS16(rounds int, xk *uint32, dst, src *byte, n int, t *[BlockSize]byte)
 
 // decryptXTS is encryptXTS with AESDEC and the decryption round keys.
 //

@@ -2,24 +2,34 @@
 
 // X0–X7 hold eight blocks and X8 the round key. The XTS passes also
 // use X9 (the running tweak), X10 (the doubling polynomial), X11
-// (doubling scratch) and X12 (the tail's saved tweak). X15, the
-// register ABI's zero, is never touched.
+// (doubling scratch) and X12 (the tail's saved tweak). The VAES pass
+// at the end has its own map. X15, the register ABI's zero, is never
+// touched.
 
 // xtsPoly is the mask the tweak doubling ANDs its carries with: 0x87
 // folds bit 127 back into the low dword (x^128 = x^7+x^2+x+1), and the
-// 1 in dword 2 carries bit 63 into the high quadword.
+// 1 in dword 2 carries bit 63 into the high quadword. The VAES pass's
+// carryless multiply reads only the low quadword.
 DATA  xtsPoly<>+0(SB)/8, $0x87
 DATA  xtsPoly<>+8(SB)/8, $1
 GLOBL xtsPoly<>(SB), RODATA|NOPTR, $16
 
-// func cpuidAES() bool
-TEXT ·cpuidAES(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
+// func cpuid(leaf, sub uint32) (a, b, c, d uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
 	CPUID
-	SHRL $25, CX
-	ANDL $1, CX
-	MOVB CX, ret+0(FP)
+	MOVL AX, a+8(FP)
+	MOVL BX, b+12(FP)
+	MOVL CX, c+16(FP)
+	MOVL DX, d+20(FP)
+	RET
+
+// func xgetbv() uint32
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, ret+0(FP)
 	RET
 
 // func subWord(w uint32) uint32
@@ -371,4 +381,108 @@ oneRound:
 
 done:
 	MOVOU X9, (R9)
+	RET
+
+// The VAES pass holds sixteen blocks in Y0–Y7, two to a register, and
+// the round key, broadcast to both lanes, in Y8. Y9 and Y10 are two
+// tweak chains: for the blocks 4j..4j+3 of a pass, Y9 holds the tweaks
+// of 4j and 4j+1 and Y10 those of 4j+2 and 4j+3, so each steps by x⁴.
+// Y11 and Y12 are step scratch and Y13 is xtsPoly in both lanes.
+
+// XSTEP writes S·x^k to D, lane by lane; the pass uses k = 1, 2 and 4.
+// VPSRLQ brings the k bits each quadword shifts out down to its bottom;
+// VPCLMULQDQ $0x01 multiplies the high quadword's (the bits past x^127)
+// by xtsPoly's low quadword, 0x87, which folds them back into the low
+// bits; VPSLLDQ $8 moves the low quadword's under the high quadword,
+// where they carry in; VPSLLQ shifts both quadwords and two XORs add
+// the carries.
+#define XSTEP(k, S, D) \
+	VPSRLQ     $(64-k), S, Y11;      \
+	VPCLMULQDQ $0x01, Y13, Y11, Y12; \
+	VPSLLDQ    $8, Y11, Y11;         \
+	VPSLLQ     $k, S, D;             \
+	VPXOR      Y11, D, D;            \
+	VPXOR      Y12, D, D
+
+// WHITEN2 loads the two blocks at off(SI) into B, masks them with the
+// chain T, keeps T at off(SP) for UNWHITEN2 and steps T by x⁴.
+#define WHITEN2(off, B, T) \
+	VMOVDQU off(SI), B; \
+	VPXOR   T, B, B;    \
+	VMOVDQU T, off(SP); \
+	XSTEP(4, T, T)
+
+// UNWHITEN2 masks B again with the tweaks WHITEN2 kept and stores it at
+// off(DI).
+#define UNWHITEN2(off, B) \
+	VPXOR   off(SP), B, B; \
+	VMOVDQU B, off(DI)
+
+// OP16 applies one round instruction, keyed by Y8, to all sixteen
+// blocks.
+#define OP16(op) \
+	op Y8, Y0, Y0; \
+	op Y8, Y1, Y1; \
+	op Y8, Y2, Y2; \
+	op Y8, Y3, Y3; \
+	op Y8, Y4, Y4; \
+	op Y8, Y5, Y5; \
+	op Y8, Y6, Y6; \
+	op Y8, Y7, Y7
+
+// func encryptXTS16(rounds int, xk *uint32, dst, src *byte, n int, t *[16]byte)
+// encryptXTS with VAES on 256-bit registers, sixteen blocks per pass;
+// n is a positive multiple of 16. The 256-byte frame holds the pass's
+// sixteen tweaks between the two masks.
+TEXT ·encryptXTS16(SB), NOSPLIT, $256-48
+	MOVQ           rounds+0(FP), R8
+	MOVQ           xk+8(FP), AX
+	MOVQ           dst+16(FP), DI
+	MOVQ           src+24(FP), SI
+	MOVQ           n+32(FP), CX
+	MOVQ           t+40(FP), R9
+	VMOVDQU        (R9), X9
+	VBROADCASTI128 xtsPoly<>(SB), Y13
+	XSTEP(1, Y9, Y10)
+	VINSERTI128    $1, X10, Y9, Y9 // t, t·x
+	XSTEP(2, Y9, Y10)              // t·x², t·x³
+	DECQ           R8
+
+sixteen:
+	WHITEN2(0, Y0, Y9)
+	WHITEN2(32, Y1, Y10)
+	WHITEN2(64, Y2, Y9)
+	WHITEN2(96, Y3, Y10)
+	WHITEN2(128, Y4, Y9)
+	WHITEN2(160, Y5, Y10)
+	WHITEN2(192, Y6, Y9)
+	WHITEN2(224, Y7, Y10)
+	VBROADCASTI128 (AX), Y8
+	OP16(VPXOR)
+	LEAQ           16(AX), BX
+	MOVQ           R8, DX
+
+sixteenRound:
+	VBROADCASTI128 (BX), Y8
+	OP16(VAESENC)
+	ADDQ           $16, BX
+	DECQ           DX
+	JNZ            sixteenRound
+	VBROADCASTI128 (BX), Y8
+	OP16(VAESENCLAST)
+	UNWHITEN2(0, Y0)
+	UNWHITEN2(32, Y1)
+	UNWHITEN2(64, Y2)
+	UNWHITEN2(96, Y3)
+	UNWHITEN2(128, Y4)
+	UNWHITEN2(160, Y5)
+	UNWHITEN2(192, Y6)
+	UNWHITEN2(224, Y7)
+	ADDQ           $256, SI
+	ADDQ           $256, DI
+	SUBQ           $16, CX
+	JNZ            sixteen
+
+	VMOVDQU X9, (R9) // t·x^n
+	VZEROUPPER
 	RET

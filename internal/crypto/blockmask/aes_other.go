@@ -4,7 +4,7 @@ package blockmask
 
 // Without the amd64 assembly every AES takes the generic path, so the
 // functions below are never reached.
-const hasAESNI = false
+const hostKernel = generic
 
 func (a *AES) expandKey(key []byte) { panic("blockmask: no AES assembly on this GOARCH") }
 
@@ -17,6 +17,10 @@ func decryptBlocks(rounds int, xk *uint32, dst, src *byte, n int) {
 }
 
 func encryptXTS(rounds int, xk *uint32, dst, src *byte, n int, t *[BlockSize]byte) {
+	panic("blockmask: no AES assembly on this GOARCH")
+}
+
+func encryptXTS16(rounds int, xk *uint32, dst, src *byte, n int, t *[BlockSize]byte) {
 	panic("blockmask: no AES assembly on this GOARCH")
 }
 

@@ -5,28 +5,32 @@ import (
 	"crypto/aes"
 	"encoding/hex"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 )
 
 // path is one way to build the primitive.
 type path struct {
 	name string
-	asm  bool
+	k    kernel
 }
 
+var kernelNames = [...]string{generic: "generic", aesni: "aesni", vaes: "vaes"}
+
 // paths is every way to build the primitive on this host: the generic
-// loop always, the assembly when the CPU has AES-NI.
+// loop always, then each assembly kernel the CPU runs.
 func paths() []path {
-	p := []path{{"generic", false}}
-	if hasAESNI {
-		p = append(p, path{"asm", true})
+	var p []path
+	for k := generic; k <= hostKernel; k++ {
+		p = append(p, path{kernelNames[k], k})
 	}
 	return p
 }
 
-func mustAES(t testing.TB, k []byte, asm bool) *AES {
+func mustAES(t testing.TB, k []byte, kern kernel) *AES {
 	t.Helper()
-	a, err := newAES(k, asm)
+	a, err := newAES(k, kern)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +56,7 @@ func TestAESKnownAnswers(t *testing.T) {
 		{"C.3 AES-256", "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f", "8ea2b7ca516745bfeafc49904b496089"},
 	} {
 		for _, p := range paths() {
-			a := mustAES(t, unhex(tc.k), p.asm)
+			a := mustAES(t, unhex(tc.k), p.k)
 			got := make([]byte, BlockSize)
 			a.Encrypt(got, pt)
 			if want := unhex(tc.ct); !bytes.Equal(got, want) {
@@ -82,7 +86,7 @@ func checkAgainstBlock(t *testing.T, k, data []byte) {
 		ref.Decrypt(wantDec[i:i+BlockSize], data[i:i+BlockSize])
 	}
 	for _, p := range paths() {
-		a := mustAES(t, k, p.asm)
+		a := mustAES(t, k, p.k)
 		for _, d := range []struct {
 			name string
 			op   func(dst, src []byte)
@@ -124,11 +128,11 @@ func TestAESMatchesBlockLoop(t *testing.T) {
 func TestAESRejects(t *testing.T) {
 	for _, p := range paths() {
 		for _, size := range []int{0, 8, 17, 31, 33, 64} {
-			if _, err := newAES(make([]byte, size), p.asm); err == nil {
+			if _, err := newAES(make([]byte, size), p.k); err == nil {
 				t.Errorf("%s: %d-byte key accepted", p.name, size)
 			}
 		}
-		a := mustAES(t, make([]byte, 16), p.asm)
+		a := mustAES(t, make([]byte, 16), p.k)
 		buf := make([]byte, 64)
 		for name, f := range map[string]func(){
 			"partial block":   func() { a.Encrypt(buf[:17], buf[:17]) },
@@ -150,7 +154,7 @@ func TestAESRejects(t *testing.T) {
 
 func TestAESAllocs(t *testing.T) {
 	for _, p := range paths() {
-		a := mustAES(t, make([]byte, 32), p.asm)
+		a := mustAES(t, make([]byte, 32), p.k)
 		buf := make([]byte, 4096)
 		tw := new([BlockSize]byte)
 		if n := testing.AllocsPerRun(100, func() {
@@ -192,7 +196,7 @@ func checkXTS(t *testing.T, k []byte, t0 [BlockSize]byte, data []byte, split int
 	}
 	var outs [][]byte
 	for _, p := range paths() {
-		a := mustAES(t, k, p.asm)
+		a := mustAES(t, k, p.k)
 		for i, d := range []struct {
 			name     string
 			op       func(dst, src []byte, t *[BlockSize]byte)
@@ -229,13 +233,17 @@ func checkXTS(t *testing.T, k []byte, t0 [BlockSize]byte, data []byte, split int
 	return outs
 }
 
-// One to 520 blocks crosses every eight-block boundary of the assembly
-// pass and every tail length after it, and 32-block strides of the
-// generic one, for the two XTS key sizes.
+// One to 520 blocks crosses every sixteen-block group of the VAES pass,
+// every eight-block boundary of the AES-NI pass and every tail length
+// after them, and 32-block strides of the generic one, for the two XTS
+// key sizes. The split lands inside a sixteen-block group on most
+// lengths. The log line names the passes this CPU checked.
 func TestXTSMatchesGeneric(t *testing.T) {
-	if !hasAESNI {
-		t.Log("no AES-NI: only the generic path runs")
+	var names []string
+	for _, p := range paths() {
+		names = append(names, p.name)
 	}
+	t.Logf("XTS passes checked: %s", strings.Join(names, ", "))
 	for _, size := range []int{16, 32} {
 		for blocks := 1; blocks <= 520; blocks++ {
 			seed := byte(size + blocks)
@@ -255,7 +263,7 @@ func TestXTSMatchesGeneric(t *testing.T) {
 			outs := checkXTS(t, k, t0, data, blocks*5/9)
 			for i := 1; i < len(outs); i++ {
 				if !bytes.Equal(outs[i], outs[0]) {
-					t.Fatalf("%d blocks, %d-byte key: asm and generic paths differ", blocks, size)
+					t.Fatalf("%d blocks, %d-byte key: %s and generic paths differ", blocks, size, paths()[i].name)
 				}
 			}
 		}
@@ -278,6 +286,7 @@ func FuzzXTSBlocks(f *testing.F) {
 	f.Add(make([]byte, 16), make([]byte, BlockSize), make([]byte, 16), uint16(0))
 	f.Add(bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{0xff}, BlockSize), make([]byte, 9*BlockSize), uint16(3))
 	f.Add(bytes.Repeat([]byte{2}, 32), make([]byte, BlockSize), make([]byte, 31*BlockSize), uint16(8))
+	f.Add(bytes.Repeat([]byte{3}, 16), bytes.Repeat([]byte{0x80}, BlockSize), make([]byte, 256*BlockSize), uint16(200))
 	f.Fuzz(func(t *testing.T, k, tweak, data []byte, split uint16) {
 		if len(k) != 16 && len(k) != 32 || len(tweak) != BlockSize {
 			t.Skip()
@@ -285,4 +294,51 @@ func FuzzXTSBlocks(f *testing.F) {
 		data = data[:len(data)&^(BlockSize-1)]
 		checkXTS(t, k, [BlockSize]byte(tweak), data, int(split)%(len(data)/BlockSize+1))
 	})
+}
+
+// The kernel detect picks agrees with the flags Linux reports, so a
+// wrong CPUID or XCR0 bit fails here instead of quietly running a
+// slower pass (or faulting on a missing one).
+func TestCPUFeaturesMatchCPUInfo(t *testing.T) {
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no /proc/cpuinfo: %v", err)
+	}
+	flags := map[string]bool{}
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			for _, f := range strings.Fields(list) {
+				flags[f] = true
+			}
+			break
+		}
+	}
+	want := generic
+	if flags["aes"] {
+		want = aesni
+		if flags["avx2"] && flags["vaes"] && flags["vpclmulqdq"] {
+			want = vaes
+		}
+	}
+	if hostKernel != want {
+		t.Fatalf("CPUID picks the %s kernel, /proc/cpuinfo flags say %s", kernelNames[hostKernel], kernelNames[want])
+	}
+}
+
+// BenchmarkXTSPass is EncryptXTS on a 4 KiB sector, AES-256, on each
+// assembly kernel this CPU runs: the cipher's own cost, without the
+// tweak encryption and pooling around it in xts.Encrypt.
+func BenchmarkXTSPass(b *testing.B) {
+	buf := make([]byte, 4096)
+	for _, p := range paths()[1:] {
+		a := mustAES(b, bytes.Repeat([]byte{7}, 32), p.k)
+		b.Run(p.name+"-4K", func(b *testing.B) {
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			var tw [BlockSize]byte
+			for i := 0; i < b.N; i++ {
+				a.EncryptXTS(buf, buf, &tw)
+			}
+		})
+	}
 }

@@ -14,8 +14,10 @@
 //
 // Encrypt on whole-block data units, which is every sector, encrypts
 // the tweak and hands the rest to blockmask.AES.EncryptXTS, whose
-// AES-NI pass masks, doubles and encrypts eight blocks at a time in
-// registers. Decrypt and ciphertext stealing run the per-block loop.
+// assembly masks, advances the tweak and encrypts in registers: sixteen
+// blocks per pass with VAES on 256-bit registers, eight per pass with
+// AES-NI for the remainder or on a CPU without VAES. Decrypt and
+// ciphertext stealing run the per-block loop.
 package xts
 
 import (
@@ -104,8 +106,10 @@ func mul2(t *[TweakSize]byte) {
 // under the given tweak. len(dst) must be at least len(src), and
 // len(src) at least one block; ciphertext stealing covers trailing
 // partial blocks. A whole-block data unit, which is every sector, is
-// one tweak encryption and one k1.EncryptXTS call: with AES-NI, eight
-// blocks per assembly pass with the masking and doubling fused in.
+// one tweak encryption and one k1.EncryptXTS call, with the masking and
+// the tweak advance fused into the assembly: a 4 KiB sector is sixteen
+// passes of sixteen blocks with VAES, thirty-two of eight with AES-NI
+// alone.
 func (c *Cipher) Encrypt(dst, src []byte, tweak [TweakSize]byte) error {
 	if err := checkArgs(dst, src); err != nil {
 		return err
@@ -124,7 +128,8 @@ func (c *Cipher) Encrypt(dst, src []byte, tweak [TweakSize]byte) error {
 // Decrypt reverses Encrypt. It stays on the per-block loop, one
 // crypto/aes call per block: a faster open moves the benchmark's
 // virtual-clock percentiles on small reads (ROADMAP item 2(i)). Moving
-// it over is the switch Encrypt makes, with k1.DecryptXTS, which the
+// it over is the switch Encrypt makes, with k1.DecryptXTS (the
+// eight-block AES-NI pass; there is no VAES decrypt pass), which the
 // tests already hold to this loop.
 func (c *Cipher) Decrypt(dst, src []byte, tweak [TweakSize]byte) error {
 	if err := checkArgs(dst, src); err != nil {

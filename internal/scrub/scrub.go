@@ -46,12 +46,16 @@ var walk = rbd.NewWalkSpec(rbd.WalkSpec[Progress]{
 	Valid:  func(p *Progress) bool { return p.Checked >= 0 && p.Found >= 0 && p.Repaired >= 0 },
 })
 
-// The finding counters are scrub's own; the kernel publishes the rest.
+// The finding metrics are scrub's own; the kernel publishes the rest.
+// The counters count every sighting, so a block that stays bad counts
+// once per sweep; the gauge is the level the health rule reads.
 var (
 	mFound = telemetry.NewCounterVec("scrub_blocks_bad_total",
-		"blocks that failed scrub verification (integrity or key-epoch failures)", "image")
+		"blocks that failed scrub verification (integrity or key-epoch failures), once per sweep that sees them", "image")
 	mRepaired = telemetry.NewCounterVec("scrub_blocks_repaired_total",
 		"bad blocks recovered from an intact replica and re-sealed", "image")
+	mOutstanding = telemetry.NewGaugeVec("scrub_blocks_outstanding",
+		"bad blocks the image's last finished scrub sweep found and did not repair", "image")
 )
 
 // Progress is the persisted scrub cursor.
@@ -73,6 +77,7 @@ type Scrubber struct {
 	img             *core.EncryptedImage
 	repair          bool
 	found, repaired *telemetry.Counter
+	outstanding     *telemetry.Gauge
 }
 
 // SetRepair enables (the default) or disables replica repair of blocks
@@ -84,11 +89,12 @@ func (s *Scrubber) SetRepair(on bool) { s.repair = on }
 // resolves here always belong to a walk that exists.
 func newScrubber(img *core.EncryptedImage) *Scrubber {
 	name := img.Image().Name()
-	return &Scrubber{img: img, repair: true, found: mFound.With(name), repaired: mRepaired.With(name)}
+	return &Scrubber{img: img, repair: true, found: mFound.With(name), repaired: mRepaired.With(name),
+		outstanding: mOutstanding.With(name)}
 }
 
 func (s *Scrubber) hooks() rbd.WalkHooks[Progress] {
-	return rbd.WalkHooks[Progress]{Visit: s.visit, Finish: findings}
+	return rbd.WalkHooks[Progress]{Visit: s.visit, Finish: s.findings}
 }
 
 // Start begins a scrub sweep.
@@ -116,9 +122,13 @@ func Resume(at vtime.Time, img *core.EncryptedImage) (*Scrubber, vtime.Time, err
 	return s, at, nil
 }
 
-// findings is the scrub finish: a sweep has nothing to complete, and
-// its finding count goes out with the finish event.
-func findings(at vtime.Time, p *Progress) (int64, vtime.Time, error) { return p.Found, at, nil }
+// findings is the scrub finish: a sweep has nothing to complete, its
+// unrepaired findings become the image's outstanding level, and its
+// finding count goes out with the finish event.
+func (s *Scrubber) findings(at vtime.Time, p *Progress) (int64, vtime.Time, error) {
+	s.outstanding.Set(p.Found - p.Repaired)
+	return p.Found, at, nil
+}
 
 // Abort withdraws an image's scrub progress record. Nothing else needs
 // undoing — verification has no partial state, and any repairs already

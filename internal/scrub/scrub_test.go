@@ -13,6 +13,7 @@ import (
 	"repro/internal/simdisk"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/health"
+	"repro/internal/vtime"
 )
 
 const (
@@ -170,24 +171,15 @@ func TestScrubCheckOnlyCountsWithoutRepair(t *testing.T) {
 	}
 	plantGarbage(t, e, e.Image().Replicas(0)[0], 0, 4)
 
-	// The health plane sees the unrepaired finding: the found-minus-
-	// repaired total the scrub-findings-outstanding rule reads rises by
-	// exactly the one planted block (earlier tests in this binary may
-	// have left it above zero).
+	// The health plane sees the unrepaired finding: the outstanding
+	// level the scrub-findings-outstanding rule reads rises by exactly
+	// the one planted block (earlier tests in this binary may have left
+	// other images above zero).
 	mon := health.NewMonitor(telemetry.Default)
 	mon.Observe(0)
 	before := outstanding(t, mon.Report(0))
 
-	s, _, err := Start(0, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetRepair(false)
-	end, err := s.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := s.Progress()
+	p, end := sweep(t, e, false)
 	if p.Found != 1 || p.Repaired != 0 {
 		t.Fatalf("check-only scrub found=%d repaired=%d, want 1/0", p.Found, p.Repaired)
 	}
@@ -200,6 +192,60 @@ func TestScrubCheckOnlyCountsWithoutRepair(t *testing.T) {
 	if _, err := e.ReadAt(0, buf, 4*bs); !errors.Is(err, core.ErrIntegrity) {
 		t.Fatalf("read after check-only scrub: err=%v, want ErrIntegrity", err)
 	}
+
+	// A repairing sweep heals the block and a clean one finds nothing:
+	// after each the rule reads what it read before the damage.
+	for _, want := range []Progress{{Found: 1, Repaired: 1}, {}} {
+		p, end := sweep(t, e, true)
+		if p.Found != want.Found || p.Repaired != want.Repaired {
+			t.Fatalf("scrub found=%d repaired=%d, want %d/%d", p.Found, p.Repaired, want.Found, want.Repaired)
+		}
+		mon.Observe(end)
+		if v := outstanding(t, mon.Report(end)); v.Firing != before.Firing || v.Value != before.Value {
+			t.Fatalf("scrub-findings-outstanding after a repaired finding: %v (before the damage: %v)", v, before)
+		}
+	}
+}
+
+// A block no replica can repair is found by every sweep, and counts as
+// one outstanding block however many sweeps see it.
+func TestScrubUnrepairableCountsOnce(t *testing.T) {
+	e := newEncrypted(t, core.SchemeGCM, core.LayoutObjectEnd)
+	data := make([]byte, 2<<20)
+	rand.New(rand.NewSource(5)).Read(data)
+	if _, err := e.WriteAt(0, data, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, osd := range e.Image().Replicas(1) {
+		plantGarbage(t, e, osd, 1, 9)
+	}
+	level := mOutstanding.With(e.Image().Name())
+	found := mFound.With(e.Image().Name())
+	for i := 1; i <= 3; i++ {
+		p, _ := sweep(t, e, true)
+		if p.Found != 1 || p.Repaired != 0 {
+			t.Fatalf("sweep %d: found=%d repaired=%d, want 1/0", i, p.Found, p.Repaired)
+		}
+		if level.Value() != 1 || found.Value() != int64(i) {
+			t.Fatalf("sweep %d: outstanding %d, found total %d; want 1 and %d", i, level.Value(), found.Value(), i)
+		}
+	}
+}
+
+// sweep runs one whole scrub of e, repairing or check-only, and returns
+// its final progress and end time.
+func sweep(t *testing.T, e *core.EncryptedImage, repair bool) (Progress, vtime.Time) {
+	t.Helper()
+	s, _, err := Start(0, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetRepair(repair)
+	end, err := s.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Progress(), end
 }
 
 // outstanding returns the scrub-findings-outstanding verdict of rep.

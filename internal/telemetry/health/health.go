@@ -63,10 +63,9 @@ const (
 	// GaugeGrowth fires when any series of the family grew by more than
 	// Threshold over the window (pacer debt creep).
 	GaugeGrowth
-	// OutstandingAbove fires when the family's live total minus the
-	// Baseline family's live total exceeds Threshold (found minus
-	// repaired).
-	OutstandingAbove
+	// GaugeAbove fires when the family's live value, summed across
+	// series, exceeds Threshold (scrub's unrepaired bad blocks).
+	GaugeAbove
 	// SilentWhile fires when some series of the family recorded no
 	// movement over the window while the Baseline family's summed delta
 	// was positive (an OSD gone quiet under client load).
@@ -78,7 +77,7 @@ type Rule struct {
 	Name      string         // verdict key, stable across evals
 	Kind      RuleKind       //
 	Family    string         // subject metric family
-	Baseline  string         // second family: OutstandingAbove subtrahend, SilentWhile activity witness
+	Baseline  string         // SilentWhile's activity witness
 	Q         float64        // quantile for QuantileAbove
 	Window    vtime.Duration // query window for windowed kinds
 	Threshold float64        // rate: per virtual second; quantile/growth: value units; silence: series count
@@ -185,9 +184,9 @@ func (e *Engine) eval(r Rule) Verdict {
 	case GaugeGrowth:
 		v.Value = float64(h.DeltaMax(r.Family, r.Window))
 		v.Detail = fmt.Sprintf("max Δ%s over %v", r.Family, r.Window)
-	case OutstandingAbove:
-		v.Value = float64(h.LastSum(r.Family) - h.LastSum(r.Baseline))
-		v.Detail = fmt.Sprintf("%s - %s", r.Family, r.Baseline)
+	case GaugeAbove:
+		v.Value = float64(h.LastSum(r.Family))
+		v.Detail = r.Family
 	case SilentWhile:
 		if h.DeltaSum(r.Baseline, r.Window) <= 0 {
 			v.Detail = fmt.Sprintf("%s idle over %v", r.Baseline, r.Window)
@@ -232,9 +231,10 @@ func DefaultRules() []Rule {
 		// domain) is active.
 		{Name: "fault-injection-rate", Kind: RateAbove, Family: "fault_injections_total",
 			Window: w, Threshold: 1, Severity: Degraded},
-		// Scrub found corruption it has not repaired yet.
-		{Name: "scrub-findings-outstanding", Kind: OutstandingAbove, Family: "scrub_blocks_bad_total",
-			Baseline: "scrub_blocks_repaired_total", Threshold: 0, Severity: Critical},
+		// An image's last finished scrub found corruption it could not
+		// repair.
+		{Name: "scrub-findings-outstanding", Kind: GaugeAbove, Family: "scrub_blocks_outstanding",
+			Threshold: 0, Severity: Critical},
 		// Background walkers accumulating pacer debt faster than they
 		// drain it will starve or stampede.
 		{Name: "rekey-pacer-debt-growth", Kind: GaugeGrowth, Family: "rekey_pacer_debt_ns",

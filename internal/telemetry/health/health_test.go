@@ -21,8 +21,7 @@ type ruleSet struct {
 	errs   *telemetry.Counter
 	reqs   *telemetry.Counter
 	faults *telemetry.Counter
-	bad    *telemetry.Counter
-	rep    *telemetry.Counter
+	out    *telemetry.Gauge
 	inline *telemetry.Counter
 	debt   *telemetry.Gauge
 	lat    *telemetry.Histogram
@@ -37,8 +36,7 @@ func newRuleSet() *ruleSet {
 		errs:   reg.NewCounter("client_errors_total", "test"),
 		reqs:   reg.NewCounter("client_requests_total", "test"),
 		faults: reg.NewCounter("fault_injections_total", "test"),
-		bad:    reg.NewCounter("scrub_blocks_bad_total", "test"),
-		rep:    reg.NewCounter("scrub_blocks_repaired_total", "test"),
+		out:    reg.NewGauge("scrub_blocks_outstanding", "test"),
 		inline: reg.NewCounter("core_dp_inline_total", "test"),
 		debt:   reg.NewGauge("rekey_pacer_debt_ns", "test"),
 		lat:    reg.NewHistogram("fio_op_vtime", "test"),
@@ -77,7 +75,7 @@ func TestDefaultRulesFire(t *testing.T) {
 	s.reqs.Add(100)
 	s.errs.Add(50)
 	s.faults.Add(20)
-	s.bad.Add(3)
+	s.out.Set(3)
 	s.inline.Add(50) // 500/s over the 100 ms window, ceiling is 100/s
 	s.debt.Set(200 * 1e6)
 	for i := 0; i < 100; i++ {
@@ -119,7 +117,7 @@ func TestDefaultRulesFire(t *testing.T) {
 	// drains, the datapath queue drains, both OSDs serve, ops run fast,
 	// no new errors or faults.
 	s.reqs.Add(100)
-	s.rep.Add(3)
+	s.out.Set(0)
 	s.debt.Set(0)
 	for i := 0; i < 100; i++ {
 		s.lat.Observe(1 * ms)

@@ -6,8 +6,9 @@ package health_test
 // monitor before and after the condition, so the two samples bracket
 // exactly the window under test. scrub-findings-outstanding is fired in
 // internal/scrub (TestScrubCheckOnlyCountsWithoutRepair): its value is
-// the process-wide found-minus-repaired total, which a check-only sweep
-// leaves raised for every later monitor in the binary.
+// the sum of every image's unrepaired findings from its last finished
+// sweep, which a check-only sweep leaves raised until a repairing sweep
+// of that image.
 
 import (
 	"errors"
